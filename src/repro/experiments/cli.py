@@ -93,6 +93,23 @@ def _jsonify(value: _t.Any) -> _t.Any:
     return jsonify(value)
 
 
+def _comma_list(kind: _t.Callable[[str], _t.Any]) -> _t.Callable:
+    """An argparse ``type``: ``"1,2,4"`` -> ``(1, 2, 4)`` via ``kind``.
+
+    A bad item is a usage error: argparse prints it and exits 2.
+    """
+
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(item.strip()) for item in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"not a comma-separated list of {kind.__name__}: {text!r}"
+            ) from None
+
+    return parse
+
+
 def _configure_runtime(args: argparse.Namespace) -> None:
     """Apply the runtime flags (jobs, cache, platform, fault tolerance)."""
     from repro import runtime
@@ -227,41 +244,30 @@ def _cmd_run_all(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
-    from repro.experiments.platform import (
-        PAPER_COUNTS,
-        PAPER_FREQUENCIES,
-        measure_campaign,
-    )
-    from repro.npb import BENCHMARKS, ProblemClass
+    from repro.errors import ReproError
+    from repro.pipeline import CampaignRequest
     from repro.reporting import format_grid, grid_to_csv
-    from repro.units import mhz
 
-    name = args.benchmark.lower()
-    if name not in BENCHMARKS:
-        print(
-            f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}",
-            file=sys.stderr,
+    try:
+        request = CampaignRequest.for_job(
+            args.benchmark,
+            args.problem_class or "A",
+            args.counts,
+            args.frequencies,
+            backend=args.backend,
+            platform=args.platform,
         )
+    except ReproError as exc:
+        print(str(exc), file=sys.stderr)
         return 2
     _configure_runtime(args)
-    counts = (
-        tuple(int(c) for c in args.counts.split(","))
-        if args.counts
-        else PAPER_COUNTS
-    )
-    frequencies = (
-        tuple(mhz(float(m)) for m in args.frequencies.split(","))
-        if args.frequencies
-        else PAPER_FREQUENCIES
-    )
-    bench = BENCHMARKS[name](
-        ProblemClass.parse(args.problem_class or "A")
-    )
-    campaign = measure_campaign(bench, counts, frequencies)
+    result = request.document()
+    data = result["data"]
+    name = request.benchmark
 
     print(
         format_grid(
-            campaign.times,
+            data["times"],
             title=f"{name.upper()} execution time (seconds)",
             value_style="time",
         )
@@ -269,29 +275,23 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     print()
     print(
         format_grid(
-            campaign.speedups(),
+            data["speedups"],
             title=f"{name.upper()} power-aware speedup",
             value_style="speedup",
         )
     )
     if args.csv:
         base = pathlib.Path(args.csv)
-        grid_to_csv(campaign.times, base, value_name="seconds")
+        grid_to_csv(data["times"], base, value_name="seconds")
         energy_path = base.with_name(base.stem + "_energy" + base.suffix)
-        grid_to_csv(campaign.energies, energy_path, value_name="joules")
+        grid_to_csv(data["energies"], energy_path, value_name="joules")
         print(f"\n[times written to {base}, energies to {energy_path}]")
     if args.json:
         document = {
             "benchmark": name,
-            "class": bench.problem_class.value,
-            "base_frequency_hz": campaign.base_frequency_hz,
-            "data": _jsonify(
-                {
-                    "times": campaign.times,
-                    "energies": campaign.energies,
-                    "speedups": campaign.speedups(),
-                }
-            ),
+            "class": result["class"],
+            "base_frequency_hz": result["base_frequency_hz"],
+            "data": _jsonify(data),
         }
         pathlib.Path(args.json).write_text(json.dumps(document, indent=2))
         print(f"[data written to {args.json}]")
@@ -300,68 +300,25 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
 
 def _cmd_govern(args: argparse.Namespace) -> int:
-    from repro.errors import ConfigurationError, ReproError
-    from repro.governor import PowerCap, govern_run, power_cap_scenarios
-    from repro.npb import BENCHMARKS, ProblemClass
+    from repro.errors import ReproError
+    from repro.pipeline import GovernRequest
     from repro.reporting.tables import format_rows
 
-    name = args.benchmark.lower()
-    if name not in BENCHMARKS:
-        print(
-            f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}",
-            file=sys.stderr,
-        )
-        return 2
-    bench = BENCHMARKS[name](ProblemClass.parse(args.problem_class or "A"))
-    ranks = args.ranks
     try:
-        from repro import runtime
-        from repro.platforms import get_platform
-
-        spec = get_platform(runtime.resolve_platform(args.platform))
-    except ConfigurationError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.scenario:
-        scenarios = power_cap_scenarios(ranks, spec)
-        if args.scenario not in scenarios:
-            print(
-                f"unknown cap scenario {args.scenario!r}; available: "
-                f"{sorted(scenarios)}",
-                file=sys.stderr,
-            )
-            return 2
-        cap = scenarios[args.scenario]
-    elif args.cluster_cap_w or args.node_cap_w:
-        cap = PowerCap(
-            label="custom",
-            cluster_w=args.cluster_cap_w,
-            node_w=args.node_cap_w,
-        )
-    else:
-        cap = PowerCap()
-
-    try:
-        governed = govern_run(
-            bench,
-            ranks,
-            args.policy,
-            cap,
-            spec=spec,
+        request = GovernRequest(
+            args.benchmark,
+            args.problem_class or "A",
+            args.ranks,
+            policy=args.policy,
+            scenario=args.scenario,
+            cluster_cap_w=args.cluster_cap_w,
+            node_cap_w=args.node_cap_w,
+            platform=args.platform,
             epoch_phases=args.epoch_phases,
             safety=args.safety,
             seed=args.seed,
         )
-        baseline = govern_run(
-            bench,
-            ranks,
-            "static",
-            cap,
-            spec=spec,
-            epoch_phases=args.epoch_phases,
-            safety=args.safety,
-            seed=args.seed,
-        )
+        governed, baseline = request.run()
     except ReproError as exc:
         print(f"govern failed: {exc}", file=sys.stderr)
         return 2
@@ -381,8 +338,9 @@ def _cmd_govern(args: argparse.Namespace) -> int:
             ["policy", "time [s]", "energy [J]", "EDP [J*s]", "transitions"],
             rows,
             title=(
-                f"{name.upper()} class {bench.problem_class.value} at "
-                f"N={ranks}, cap '{cap.label}' "
+                f"{request.benchmark.upper()} class "
+                f"{request.problem_class.value} at N={request.ranks}, "
+                f"cap '{request.cap.label}' "
                 f"({governed.trace.n_epochs} epochs)"
             ),
         )
@@ -443,52 +401,23 @@ def _cmd_platforms(_args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     from repro.errors import ReproError
-    from repro.governor import PowerCap, power_cap_scenarios
-    from repro.optimizer import optimize
+    from repro.pipeline import OptimizeRequest
     from repro.reporting.tables import format_rows
 
     _configure_runtime(args)
-    counts = (
-        tuple(int(c) for c in args.counts.split(","))
-        if args.counts
-        else None
-    )
-    platforms = (
-        tuple(p.strip() for p in args.platforms.split(","))
-        if args.platforms
-        else None
-    )
     try:
-        if args.scenario:
-            ranks = max(counts) if counts else None
-            from repro.experiments.platform import PAPER_COUNTS
-
-            scenarios = power_cap_scenarios(ranks or max(PAPER_COUNTS))
-            if args.scenario not in scenarios:
-                print(
-                    f"unknown cap scenario {args.scenario!r}; available: "
-                    f"{sorted(scenarios)}",
-                    file=sys.stderr,
-                )
-                return 2
-            cap = scenarios[args.scenario]
-        elif args.cluster_cap_w or args.node_cap_w:
-            cap = PowerCap(
-                label="custom",
-                cluster_w=args.cluster_cap_w,
-                node_w=args.node_cap_w,
-            )
-        else:
-            cap = PowerCap()
-        result = optimize(
+        request = OptimizeRequest(
             args.benchmark,
             args.problem_class or "A",
             objective=args.objective,
-            platforms=platforms,
-            counts=counts,
-            cap=cap,
+            platforms=args.platforms,
+            counts=args.counts,
+            scenario=args.scenario,
+            cluster_cap_w=args.cluster_cap_w,
+            node_cap_w=args.node_cap_w,
             confirm=not args.no_confirm,
         )
+        result = request.run()
     except ReproError as exc:
         print(f"optimize failed: {exc}", file=sys.stderr)
         return 2
@@ -712,10 +641,16 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     )
     p_camp.add_argument("--class", dest="problem_class", default="A")
     p_camp.add_argument(
-        "--counts", default="", help="comma-separated processor counts"
+        "--counts",
+        type=_comma_list(int),
+        default=None,
+        help="comma-separated processor counts",
     )
     p_camp.add_argument(
-        "--frequencies", default="", help="comma-separated frequencies (MHz)"
+        "--frequencies",
+        type=_comma_list(float),
+        default=None,
+        help="comma-separated frequencies (MHz)",
     )
     p_camp.add_argument(
         "--csv", default=None, help="CSV path for times (+ _energy sibling)"
@@ -819,12 +754,16 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
     )
     p_opt.add_argument(
         "--platforms",
-        default="",
+        type=_comma_list(str),
+        default=None,
         help="comma-separated platform names to search "
         "(default: every registered platform)",
     )
     p_opt.add_argument(
-        "--counts", default="", help="comma-separated processor counts"
+        "--counts",
+        type=_comma_list(int),
+        default=None,
+        help="comma-separated processor counts",
     )
     p_opt.add_argument(
         "--scenario",

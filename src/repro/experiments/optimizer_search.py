@@ -81,21 +81,13 @@ def _requires(params: dict) -> tuple[CampaignRequest, ...]:
 
 
 def _analyze(ctx: StageContext) -> dict[str, _t.Any]:
-    from repro.governor import power_cap_scenarios
+    from repro.governor import resolve_cap
     from repro.optimizer.search import check_objective
     from repro.platforms import get_platform
 
     benchmark, problem_class, objective, scenario = _params(ctx.params)
     objective = check_objective(objective)
-    scenarios = power_cap_scenarios(max(PAPER_COUNTS))
-    if scenario not in scenarios:
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown cap scenario {scenario!r}: valid choices are "
-            + ", ".join(repr(s) for s in sorted(scenarios))
-        )
-    cap = scenarios[scenario]
+    cap = resolve_cap(max(PAPER_COUNTS), scenario=scenario)
 
     def score(time_s: float, energy_j: float) -> float:
         if objective == "energy":

@@ -19,7 +19,7 @@ hence SHA-256 digest) is bit-identical across repeats of the same
 seeded configuration.
 """
 
-from repro.governor.caps import PowerCap, power_cap_scenarios
+from repro.governor.caps import PowerCap, power_cap_scenarios, resolve_cap
 from repro.governor.loop import (
     DEFAULT_EPOCH_PHASES,
     DEFAULT_POLICY,
@@ -47,6 +47,7 @@ from repro.governor.trace import DecisionTrace, EpochDecision
 __all__ = [
     "PowerCap",
     "power_cap_scenarios",
+    "resolve_cap",
     "PhaseObservation",
     "EpochSensor",
     "DecisionTrace",

@@ -15,7 +15,8 @@ safety argument is by construction, not by monitoring.
 :func:`power_cap_scenarios` derives the named scenarios used across
 the experiment spec, service, CLI, and CI from the platform's own
 power curve, so the budgets track the spec rather than hard-coded
-watts.
+watts.  :func:`resolve_cap` turns a job's cap fields (a scenario name
+or explicit watts) into the one :class:`PowerCap` it runs under.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.opoints import OperatingPointTable
     from repro.cluster.power import PowerSpec
 
-__all__ = ["PowerCap", "power_cap_scenarios"]
+__all__ = ["PowerCap", "power_cap_scenarios", "resolve_cap"]
 
 # Headroom multiplier applied when a scenario budget is derived from an
 # operating point's own draw, so the boundary point itself stays legal
@@ -248,3 +249,34 @@ def power_cap_scenarios(
             node_w=node_worst_w(middle) * _SCENARIO_HEADROOM,
         ),
     }
+
+
+def resolve_cap(
+    n_ranks: int,
+    spec: ClusterSpec | None = None,
+    scenario: str | None = None,
+    cluster_w: float | None = None,
+    node_w: float | None = None,
+) -> PowerCap:
+    """The cap a job asks for: a named scenario, else explicit watts.
+
+    ``scenario`` names one of :func:`power_cap_scenarios` for
+    ``n_ranks`` on ``spec``; without one, a non-zero ``cluster_w`` or
+    ``node_w`` builds a ``"custom"`` cap (a zero watt value counts as
+    not given), and with neither the job runs uncapped.  Unknown
+    scenarios raise :class:`~repro.errors.ConfigurationError` naming
+    the choices.
+    """
+    if scenario is not None:
+        scenarios = power_cap_scenarios(n_ranks, spec)
+        if scenario not in scenarios:
+            raise ConfigurationError(
+                f"unknown cap scenario {scenario!r}; "
+                f"choose from {sorted(scenarios)}"
+            )
+        return scenarios[scenario]
+    if cluster_w or node_w:
+        return PowerCap(
+            label="custom", cluster_w=cluster_w or None, node_w=node_w or None
+        )
+    return PowerCap()

@@ -6,7 +6,9 @@ grids, then diverge only in analysis.  This package separates those
 concerns:
 
 * :mod:`~repro.pipeline.requests` — :class:`CampaignRequest`, the
-  typed, content-addressed description of what an experiment needs.
+  typed, content-addressed description of what an experiment needs,
+  and :class:`GovernRequest`/:class:`OptimizeRequest`, the other two
+  parameterized jobs the CLI and the service share.
 * :mod:`~repro.pipeline.planner` — dedupes requests across any set of
   experiments, executes the union of missing cells as one batch per
   (benchmark config, platform) group via
@@ -47,7 +49,11 @@ from repro.pipeline.planner import (
     clear_cell_index,
     execute_plan,
 )
-from repro.pipeline.requests import CampaignRequest
+from repro.pipeline.requests import (
+    CampaignRequest,
+    GovernRequest,
+    OptimizeRequest,
+)
 from repro.pipeline.store import ArtifactStore, campaign_artifact_name
 
 __all__ = [
@@ -58,6 +64,8 @@ __all__ = [
     "CampaignRequest",
     "ExperimentSpec",
     "FitArtifact",
+    "GovernRequest",
+    "OptimizeRequest",
     "PlanReport",
     "Provenance",
     "Stage",

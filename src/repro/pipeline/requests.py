@@ -1,4 +1,4 @@
-"""Typed campaign requirements — what an experiment *needs*.
+"""Typed requests: campaign requirements and the parameterized jobs.
 
 A :class:`CampaignRequest` names a measurement grid declaratively:
 benchmark, problem class, processor counts, frequencies, and
@@ -12,21 +12,54 @@ execute it as one deduplicated batch.
 Identity is content-based: two requests naming the same (benchmark
 config, grid, platform) share a digest — and therefore one execution —
 no matter which experiments issued them.
+
+The CLI (``repro-experiments campaign|govern|optimize``) and the
+service (``POST /campaign|/govern|/optimize``) build the same requests
+for their jobs: :class:`CampaignRequest`, :class:`GovernRequest` and
+:class:`OptimizeRequest`.  Each constructor validates every field and
+raises :class:`~repro.errors.ConfigurationError` naming a bad one.
+For the service's job path each provides ``job_key()``,
+``ticket_key()``, ``label``, ``params()`` and ``document()``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import typing as _t
 
 from repro.cluster.machine import ClusterSpec
+from repro.errors import ConfigurationError
 from repro.npb import BENCHMARKS, ProblemClass
 from repro.npb.base import BenchmarkModel
 
-__all__ = ["CampaignRequest"]
+if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.governor import GovernedRun, PowerCap
+    from repro.optimizer import OptimizeResult
+
+__all__ = ["CampaignRequest", "GovernRequest", "OptimizeRequest"]
 
 Cell = tuple[int, float]
+
+
+def _check_workload(request: _t.Any) -> None:
+    """Validate and normalise a request's ``benchmark`` and class."""
+    name = str(request.benchmark).strip().lower()
+    if name not in BENCHMARKS:
+        raise ConfigurationError(
+            f"unknown benchmark {name!r}; available: {sorted(BENCHMARKS)}"
+        )
+    object.__setattr__(request, "benchmark", name)
+    object.__setattr__(
+        request, "problem_class", ProblemClass.parse(request.problem_class)
+    )
+
+
+def _params_key(kind: str, params: dict[str, _t.Any]) -> str:
+    """``<kind>-<sha256 of the canonical params JSON>``."""
+    blob = json.dumps(params, sort_keys=True).encode("utf-8")
+    return f"{kind}-{hashlib.sha256(blob).hexdigest()}"
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -66,6 +99,9 @@ class CampaignRequest:
         participates in cache identity through the spec digest.
         Unknown names raise :class:`~repro.errors.ConfigurationError`
         listing the registered choices.
+    fabric, allow_partial:
+        How a job measures, not what: neither is part of the campaign
+        identity, but ``allow_partial`` is part of the job key.
     """
 
     benchmark: str
@@ -76,14 +112,11 @@ class CampaignRequest:
     options: tuple[tuple[str, _t.Any], ...] = ()
     backend: str | None = None
     platform: str | None = None
+    fabric: bool = False
+    allow_partial: bool = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "benchmark", str(self.benchmark).lower())
-        if self.benchmark not in BENCHMARKS:
-            raise ValueError(
-                f"unknown benchmark {self.benchmark!r}; available: "
-                f"{sorted(BENCHMARKS)}"
-            )
+        _check_workload(self)
         if self.backend is not None:
             from repro.runtime import check_backend
 
@@ -96,16 +129,12 @@ class CampaignRequest:
             name = check_platform(self.platform)
             object.__setattr__(self, "platform", name)
             if self.spec is not None:
-                raise ValueError(
+                raise ConfigurationError(
                     f"{self.benchmark}: pass either spec= or "
                     f"platform={name!r}, not both"
                 )
             if name != DEFAULT_PLATFORM:
                 object.__setattr__(self, "spec", get_platform(name))
-        if isinstance(self.problem_class, str):
-            object.__setattr__(
-                self, "problem_class", ProblemClass.parse(self.problem_class)
-            )
         object.__setattr__(
             self, "counts", tuple(int(n) for n in self.counts)
         )
@@ -118,10 +147,50 @@ class CampaignRequest:
             tuple(sorted((str(k), v) for k, v in self.options)),
         )
         if not self.counts or not self.frequencies:
-            raise ValueError(
+            raise ConfigurationError(
                 f"{self.benchmark}: a campaign request needs at least "
                 "one count and one frequency"
             )
+        if any(n < 1 for n in self.counts):
+            raise ConfigurationError(
+                f"{self.benchmark}: processor counts must be >= 1, got "
+                f"{sorted(self.counts)}"
+            )
+
+    @classmethod
+    def for_job(
+        cls,
+        benchmark: str,
+        problem_class: ProblemClass | str = ProblemClass.A,
+        counts: _t.Sequence[int] | None = None,
+        frequencies_mhz: _t.Sequence[float] | None = None,
+        *,
+        backend: str | None = None,
+        platform: str | None = None,
+        fabric: bool = False,
+        allow_partial: bool = False,
+    ) -> "CampaignRequest":
+        """A campaign job: the paper grid unless ``counts`` or
+        ``frequencies_mhz`` narrow it, with the runtime's backend and
+        platform unless ``backend`` and ``platform`` name them."""
+        from repro import runtime
+        from repro.experiments.platform import PAPER_COUNTS, PAPER_FREQUENCIES
+        from repro.units import mhz
+
+        return cls(
+            benchmark,
+            problem_class,
+            PAPER_COUNTS if counts is None else counts,
+            (
+                PAPER_FREQUENCIES
+                if frequencies_mhz is None
+                else tuple(mhz(m) for m in frequencies_mhz)
+            ),
+            backend=runtime.resolve_backend(backend),
+            platform=runtime.resolve_platform(platform),
+            fabric=fabric,
+            allow_partial=allow_partial,
+        )
 
     @property
     def label(self) -> str:
@@ -191,3 +260,288 @@ class CampaignRequest:
             "platform": self.platform,
             "digest": self.digest(),
         }
+
+    def ticket_key(self) -> str:
+        """The full campaign digest (the disk cache's content address)."""
+        from repro import runtime
+
+        return runtime.campaign_digest(*self.key())
+
+    def job_key(self) -> str:
+        """The campaign digest, suffixed ``+partial`` under
+        ``allow_partial`` so a partial document never answers, or is
+        answered by, a full one."""
+        return self.ticket_key() + ("+partial" if self.allow_partial else "")
+
+    def params(self) -> dict[str, _t.Any]:
+        """The job parameters, as submitted (resolved backend)."""
+        return {
+            "benchmark": self.benchmark,
+            "class": self.problem_class.value,
+            "platform": self.platform,
+            "counts": list(self.counts),
+            "frequencies_mhz": [f / 1e6 for f in self.frequencies],
+            "backend": self.key()[6],
+            "fabric": self.fabric,
+            "allow_partial": self.allow_partial,
+        }
+
+    def document(self) -> dict[str, _t.Any]:
+        """Measure the grid; times, energies and speed-ups by cell."""
+        from repro.experiments.platform import measure_campaign
+        from repro.platforms import DEFAULT_PLATFORM
+
+        # A request without a spec names the paper platform, whatever
+        # the runtime default is.
+        campaign = measure_campaign(
+            self.build(),
+            self.counts,
+            self.frequencies,
+            spec=self.spec,
+            platform=DEFAULT_PLATFORM if self.spec is None else None,
+            backend=self.backend,
+            fabric=self.fabric or None,
+            allow_partial=self.allow_partial or None,
+        )
+        return {
+            "benchmark": self.benchmark,
+            "class": self.problem_class.value,
+            "platform": self.platform,
+            "base_frequency_hz": campaign.base_frequency_hz,
+            "data": {
+                "times": campaign.times,
+                "energies": campaign.energies,
+                "speedups": campaign.speedups(),
+            },
+        }
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class GovernRequest:
+    """One governed run plus its static baseline under the same cap.
+
+    Fields left at ``None`` take their runtime defaults.  The cap comes
+    from :func:`~repro.governor.resolve_cap`; a budget no operating
+    point meets is rejected here rather than inside the run.
+    """
+
+    benchmark: str
+    problem_class: ProblemClass | str = ProblemClass.A
+    ranks: int = 4
+    policy: str | None = None
+    scenario: str | None = None
+    cluster_cap_w: float | None = None
+    node_cap_w: float | None = None
+    platform: str | None = None
+    epoch_phases: int | None = None
+    safety: float | None = None
+    seed: int = 0
+    cap: "PowerCap" = dataclasses.field(init=False)
+    spec: ClusterSpec = dataclasses.field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        from repro import runtime
+        from repro.governor import (
+            POLICIES,
+            resolve_cap,
+            resolve_epoch_phases,
+            resolve_policy_name,
+            resolve_safety,
+        )
+        from repro.platforms import get_platform
+
+        _check_workload(self)
+        ranks = int(self.ranks)
+        if ranks < 1:
+            raise ConfigurationError(f"ranks must be >= 1, got {ranks}")
+        policy = resolve_policy_name(self.policy)
+        if policy not in POLICIES:
+            raise ConfigurationError(
+                f"unknown policy {policy!r}; choose from {sorted(POLICIES)}"
+            )
+        platform = runtime.resolve_platform(self.platform)
+        spec = get_platform(platform)
+        cap = resolve_cap(
+            ranks, spec, self.scenario, self.cluster_cap_w, self.node_cap_w
+        )
+        cap.allowed_frequencies_for(spec, ranks)
+        for name, value in (
+            ("ranks", ranks),
+            ("policy", policy),
+            ("platform", platform),
+            ("spec", spec),
+            ("cap", cap),
+            ("epoch_phases", resolve_epoch_phases(self.epoch_phases)),
+            ("safety", resolve_safety(self.safety)),
+            ("seed", int(self.seed)),
+        ):
+            object.__setattr__(self, name, value)
+
+    @property
+    def label(self) -> str:
+        """Job label: ``govern.<benchmark>.<class>.<policy>``."""
+        return (
+            f"govern.{self.benchmark}.{self.problem_class.value}."
+            f"{self.policy}"
+        )
+
+    def params(self) -> dict[str, _t.Any]:
+        """Every resolved input of the run (the job key hashes these)."""
+        return {
+            "benchmark": self.benchmark,
+            "class": self.problem_class.value,
+            "platform": self.platform,
+            "ranks": self.ranks,
+            "policy": self.policy,
+            "cap": self.cap.as_dict(),
+            "epoch_phases": self.epoch_phases,
+            "safety": self.safety,
+            "seed": self.seed,
+        }
+
+    def job_key(self) -> str:
+        """``govern-`` plus the SHA-256 of the canonical params."""
+        return _params_key("govern", self.params())
+
+    ticket_key = job_key
+
+    def run(self) -> tuple["GovernedRun", "GovernedRun"]:
+        """The governed run and the static baseline, in that order."""
+        from repro.governor import govern_run
+
+        benchmark = BENCHMARKS[self.benchmark](self.problem_class)
+
+        def run(policy: str) -> "GovernedRun":
+            return govern_run(
+                benchmark,
+                self.ranks,
+                policy,
+                self.cap,
+                spec=self.spec,
+                epoch_phases=self.epoch_phases,
+                safety=self.safety,
+                seed=self.seed,
+            )
+
+        return run(self.policy), run("static")
+
+    def document(self) -> dict[str, _t.Any]:
+        """Run both; the decision trace and the comparison to static."""
+        governed, baseline = self.run()
+        return {
+            "params": self.params(),
+            "governed": {
+                "elapsed_s": governed.elapsed_s,
+                "energy_j": governed.energy_j,
+                "edp_j_s": governed.edp,
+                "transitions": governed.trace.transitions,
+                "trace_digest": governed.trace.digest(),
+            },
+            "baseline": {
+                "policy": "static",
+                "elapsed_s": baseline.elapsed_s,
+                "energy_j": baseline.energy_j,
+                "edp_j_s": baseline.edp,
+            },
+            "edp_ratio_vs_static": (
+                governed.edp / baseline.edp if baseline.edp else 0.0
+            ),
+            "trace": governed.trace.to_document(),
+        }
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class OptimizeRequest:
+    """One ``(platform, N, f)`` search for the optimal configuration.
+
+    ``None`` platforms and counts search every registered platform over
+    the paper counts; the cap is sized to the largest count.
+    """
+
+    benchmark: str
+    problem_class: ProblemClass | str = ProblemClass.A
+    objective: str = "energy"
+    platforms: tuple[str, ...] | None = None
+    counts: tuple[int, ...] | None = None
+    scenario: str | None = None
+    cluster_cap_w: float | None = None
+    node_cap_w: float | None = None
+    confirm: bool = True
+    cap: "PowerCap" = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        from repro.experiments.platform import PAPER_COUNTS
+        from repro.governor import resolve_cap
+        from repro.optimizer import check_objective
+        from repro.platforms import check_platform
+
+        _check_workload(self)
+        object.__setattr__(self, "objective", check_objective(self.objective))
+        if self.platforms is not None:
+            platforms = tuple(check_platform(p) for p in self.platforms)
+            if not platforms:
+                raise ConfigurationError(
+                    "'platforms' must name at least one platform"
+                )
+            object.__setattr__(self, "platforms", platforms)
+        if self.counts is not None:
+            counts = tuple(int(n) for n in self.counts)
+            if not counts or any(n < 1 for n in counts):
+                raise ConfigurationError(
+                    "'counts' must be a non-empty list of processor "
+                    f"counts >= 1, got {list(counts)}"
+                )
+            object.__setattr__(self, "counts", counts)
+        cap = resolve_cap(
+            max(self.counts or PAPER_COUNTS),
+            None,
+            self.scenario,
+            self.cluster_cap_w,
+            self.node_cap_w,
+        )
+        object.__setattr__(self, "cap", cap)
+        object.__setattr__(self, "confirm", bool(self.confirm))
+
+    @property
+    def label(self) -> str:
+        """Job label: ``optimize.<benchmark>.<class>.<objective>``."""
+        return (
+            f"optimize.{self.benchmark}.{self.problem_class.value}."
+            f"{self.objective}"
+        )
+
+    def params(self) -> dict[str, _t.Any]:
+        """Every resolved input of the search (the job key hashes these)."""
+        return {
+            "benchmark": self.benchmark,
+            "class": self.problem_class.value,
+            "objective": self.objective,
+            "platforms": list(self.platforms) if self.platforms else None,
+            "counts": list(self.counts) if self.counts else None,
+            "cap": self.cap.as_dict(),
+            "confirm": self.confirm,
+        }
+
+    def job_key(self) -> str:
+        """``optimize-`` plus the SHA-256 of the canonical params."""
+        return _params_key("optimize", self.params())
+
+    ticket_key = job_key
+
+    def run(self) -> "OptimizeResult":
+        """Search (see :func:`repro.optimizer.optimize`)."""
+        from repro.optimizer import optimize
+
+        return optimize(
+            self.benchmark,
+            self.problem_class.value,
+            objective=self.objective,
+            platforms=self.platforms,
+            counts=self.counts,
+            cap=self.cap,
+            confirm=self.confirm,
+        )
+
+    def document(self) -> dict[str, _t.Any]:
+        """Search; the full candidate ranking."""
+        return self.run().as_dict()

@@ -593,13 +593,20 @@ def _run_parallel_resilient(
         jobs_used = max(jobs_used, min(_EXECUTOR_JOBS, len(cells)))
         futures: dict[concurrent.futures.Future, Cell] = {}
         attempt_of: dict[concurrent.futures.Future, int] = {}
+        broken_on_submit = False
         for cell in pending:
             n, f = cell
             attempt = attempt_index[cell]
+            try:
+                future = executor.submit(
+                    _simulate_cell, benchmark, n, f, spec, attempt, plan
+                )
+            except concurrent.futures.process.BrokenProcessPool:
+                # A worker died before the round was fully submitted;
+                # the cells not yet submitted used no attempt.
+                broken_on_submit = True
+                break
             attempt_index[cell] = attempt + 1
-            future = executor.submit(
-                _simulate_cell, benchmark, n, f, spec, attempt, plan
-            )
             futures[future] = cell
             attempt_of[future] = attempt
         harvested_before = len(results)
@@ -610,6 +617,7 @@ def _run_parallel_resilient(
             log=log,
             results=results,
         )
+        pool_broken = pool_broken or broken_on_submit
         # Cancelled/never-started cells did not consume their attempt.
         for future, cell in futures.items():
             if future.cancelled():

@@ -1,4 +1,4 @@
-"""The asyncio HTTP server: routing, model registry, lifecycle.
+"""The asyncio HTTP server: route table, model registry, lifecycle.
 
 One :class:`ReproService` owns everything a long-lived prediction
 process needs:
@@ -11,27 +11,17 @@ process needs:
   :class:`~repro.service.coalesce.PredictBatcher` pair for ``/predict``
   and a bounded :class:`~repro.service.memcache.LRUCache` of rendered
   responses in front of the campaign disk cache;
-* a :class:`~repro.service.jobs.JobManager` running ``/campaign``
-  submissions on the fault-tolerant :mod:`repro.runtime` pool,
-  deduplicated by campaign digest;
-* experiment access: ``GET /experiments`` lists the registry's
-  declarative pipeline specs, ``POST /experiments/<id>`` runs one
-  through :func:`repro.pipeline.run_single` as a job (deduplicated by
-  experiment + parameter digest) whose result carries the rendered
-  report, the jsonified data and the artifact store's provenance
-  document;
-* governed simulations: ``POST /govern`` runs a closed-loop DVFS
-  governed run (:func:`repro.governor.govern_run`) as a background
-  job — named power-cap scenario or explicit watt budgets, policy by
-  registry name — whose result serves the full deterministic decision
-  trace plus energy/time/EDP against the static baseline under the
-  same cap;
+* one job path for ``POST /campaign``, ``/govern``, ``/optimize``
+  and ``/experiments/<id>``: the body becomes a typed request
+  (:mod:`repro.pipeline.requests`; a malformed one is a 400), which a
+  :class:`~repro.service.jobs.JobManager` thread runs, deduplicated
+  by job key while active and replayed from the response cache once
+  done (``docs/SERVICE.md`` has the contract); ``GET /experiments``
+  lists the registry's pipeline specs;
 * platforms: ``GET /platforms`` lists the registered platform specs
   (:mod:`repro.platforms`); ``/predict``, ``/campaign`` and
-  ``/govern`` accept a ``platform`` field selecting one (unknown
-  names are a 400 naming the valid choices), and ``POST /optimize``
-  runs the energy/EDP-optimal ``(platform, N, f)`` configuration
-  search (:func:`repro.optimizer.optimize`) as a background job;
+  ``/govern`` accept a ``platform`` field (unknown names are a 400
+  naming the valid choices);
 * the campaign-fabric coordinator (:mod:`repro.fabric`): remote
   workers drive ``/fabric/register``, ``/fabric/lease``,
   ``/fabric/complete`` and ``/fabric/heartbeat``; worker/lease
@@ -62,6 +52,7 @@ import argparse
 import asyncio
 import contextlib
 import dataclasses
+import inspect
 import os
 import signal
 import threading
@@ -220,9 +211,28 @@ class ReproService:
         self._started_at: float | None = None
         self._stop_event: asyncio.Event | None = None
         self._closing = False
-        self._spec_digests: dict[str, str] = {}
         self.coordinator: _t.Any | None = None
         self._housekeeping: asyncio.Task | None = None
+        # ``(method, path)`` -> handler(request, *ids); an ``<id>``
+        # path segment matches any one segment.
+        self._routes: dict[tuple[str, str], _t.Callable] = {
+            ("GET", "/healthz"): self._healthz,
+            ("GET", "/readyz"): self._readyz,
+            ("GET", "/metrics"): self._metrics,
+            ("GET", "/platforms"): self._handle_platforms,
+            ("GET", "/experiments"): self._handle_experiments_list,
+            ("GET", "/jobs"): self._handle_jobs_list,
+            ("GET", "/jobs/<id>"): self._handle_job,
+            ("POST", "/jobs/<id>/cancel"): self._handle_cancel,
+            ("POST", "/predict"): self._handle_predict,
+            ("POST", "/experiments/<id>"): self._handle_experiment,
+            ("POST", "/campaign"): self._handle_job_request,
+            ("POST", "/govern"): self._handle_job_request,
+            ("POST", "/optimize"): self._handle_job_request,
+        }
+        for action in ("register", "lease", "heartbeat", "complete"):
+            self._routes["POST", f"/fabric/{action}"] = self._handle_fabric
+        self._paths = {path for _, path in self._routes}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -382,51 +392,27 @@ class ReproService:
         self.requests_total += 1
         route = f"{request.method} {request.path}"
         try:
-            if request.path == "/healthz" and request.method == "GET":
-                return 200, self._healthz()
-            if request.path == "/readyz" and request.method == "GET":
-                return self._readyz()
-            if request.path == "/metrics" and request.method == "GET":
-                return 200, self._metrics()
-            if request.path == "/predict" and request.method == "POST":
-                return await self._handle_predict(request)
-            if request.path == "/campaign" and request.method == "POST":
-                return self._handle_campaign(request)
-            if request.path == "/govern" and request.method == "POST":
-                return self._handle_govern(request)
-            if request.path == "/optimize" and request.method == "POST":
-                return self._handle_optimize(request)
-            if request.path == "/platforms" and request.method == "GET":
-                return 200, self._handle_platforms()
-            if request.path.startswith("/fabric/"):
-                return self._handle_fabric(request)
-            if request.path == "/experiments" and request.method == "GET":
-                return 200, self._handle_experiments_list()
-            if request.path.startswith("/experiments/"):
-                return self._handle_experiment(request)
-            if request.path == "/jobs" and request.method == "GET":
-                return 200, self._handle_jobs_list()
-            if request.path.startswith("/jobs/"):
-                return self._handle_job(request)
-            if request.path in (
-                "/healthz",
-                "/readyz",
-                "/metrics",
-                "/predict",
-                "/campaign",
-                "/govern",
-                "/optimize",
-                "/platforms",
-                "/experiments",
-                "/jobs",
-            ):
-                return 405, protocol.error_payload(
-                    "method_not_allowed",
-                    f"{request.method} not supported on {request.path}",
+            # ``/jobs/x/cancel`` -> ``/jobs/<id>/cancel`` with ``("x",)``.
+            parts = request.path.split("/", 3)
+            path, args = request.path, ()
+            if len(parts) > 2:
+                template = "/".join([*parts[:2], "<id>", *parts[3:]])
+                if template in self._paths:
+                    path, args = template, (parts[2],)
+            handler = self._routes.get((request.method, path))
+            if handler is None:
+                if path in self._paths:
+                    return 405, protocol.error_payload(
+                        "method_not_allowed",
+                        f"{request.method} not supported on {path}",
+                    )
+                return 404, protocol.error_payload(
+                    "not_found", f"unknown path {request.path!r}"
                 )
-            return 404, protocol.error_payload(
-                "not_found", f"unknown path {request.path!r}"
-            )
+            result = handler(request, *args)
+            if inspect.isawaitable(result):
+                result = await result
+            return result
         except protocol.ProtocolError as exc:
             return exc.status, protocol.error_payload(
                 "bad_request", str(exc)
@@ -448,7 +434,7 @@ class ReproService:
 
     # -- endpoints ----------------------------------------------------------
 
-    def _healthz(self) -> dict[str, _t.Any]:
+    def _healthz(self, _request: protocol.Request) -> tuple[int, _t.Any]:
         """Liveness: the process is up and the loop is turning.
 
         Always 200 while the listener answers — even mid-drain.  A
@@ -462,7 +448,7 @@ class ReproService:
             if self._started_at is not None
             else 0.0
         )
-        return {
+        return 200, {
             "status": "draining" if self._closing else "ok",
             "version": __version__,
             "pid": os.getpid(),
@@ -473,7 +459,7 @@ class ReproService:
             "jobs_active": self.jobs.active_count(),
         }
 
-    def _readyz(self) -> tuple[int, dict[str, _t.Any]]:
+    def _readyz(self, _request: protocol.Request) -> tuple[int, _t.Any]:
         """Readiness: should *new* work be routed here right now?
 
         503 while draining (so a balancer stops routing before the
@@ -511,11 +497,6 @@ class ReproService:
         """
         from repro.fabric.coordinator import UnknownWorkerError
 
-        if request.method != "POST":
-            return 405, protocol.error_payload(
-                "method_not_allowed",
-                f"{request.method} not supported on {request.path}",
-            )
         if self.coordinator is None:
             return 503, protocol.error_payload(
                 "no_fabric", "fabric coordinator is not running"
@@ -526,13 +507,13 @@ class ReproService:
                 "fabric request body must be a JSON object"
             )
         action = request.path[len("/fabric/") :]
+        worker_id = str(body.get("worker_id", ""))
         try:
             if action == "register":
                 return 200, self.coordinator.register(
                     str(body.get("name", "")),
                     body.get("capacity"),
                 )
-            worker_id = str(body.get("worker_id", ""))
             if action == "lease":
                 return 200, self.coordinator.lease(
                     worker_id, body.get("max_cells")
@@ -541,29 +522,25 @@ class ReproService:
                 return 200, self.coordinator.heartbeat(
                     worker_id, body.get("lease_id")
                 )
-            if action == "complete":
-                return 200, self.coordinator.complete(
-                    worker_id,
-                    str(body.get("lease_id", "")),
-                    str(body.get("batch_id", "")),
-                    body.get("results") or (),
-                    body.get("failures") or (),
-                )
+            return 200, self.coordinator.complete(
+                worker_id,
+                str(body.get("lease_id", "")),
+                str(body.get("batch_id", "")),
+                body.get("results") or (),
+                body.get("failures") or (),
+            )
         except UnknownWorkerError as exc:
             return 404, protocol.error_payload(
                 "unknown_worker", str(exc)
             )
-        return 404, protocol.error_payload(
-            "not_found", f"unknown fabric action {action!r}"
-        )
 
-    def _metrics(self) -> dict[str, _t.Any]:
+    def _metrics(self, _request: protocol.Request) -> tuple[int, _t.Any]:
         from repro.runtime import campaign_metrics, server_process_context
 
         started = self.predict_coalescer.started
         joined = self.predict_coalescer.coalesced
         shared = joined + self.predict_cache_hits
-        return {
+        return 200, {
             "service": {
                 "context": server_process_context(),
                 "uptime_s": (
@@ -625,10 +602,12 @@ class ReproService:
         except ConfigurationError as exc:
             raise protocol.ProtocolError(str(exc)) from exc
 
-    def _handle_platforms(self) -> dict[str, _t.Any]:
+    def _handle_platforms(
+        self, _request: protocol.Request
+    ) -> tuple[int, _t.Any]:
         from repro.platforms import DEFAULT_PLATFORM, platform_summaries
 
-        return {
+        return 200, {
             "default": DEFAULT_PLATFORM,
             "platforms": platform_summaries(),
         }
@@ -668,423 +647,9 @@ class ReproService:
         source = "coalesced" if joined else "computed"
         return 200, {**document, "served_from": source}
 
-    def _handle_campaign(
-        self, request: protocol.Request
+    def _handle_experiments_list(
+        self, _request: protocol.Request
     ) -> tuple[int, _t.Any]:
-        from repro.experiments.platform import (
-            PAPER_COUNTS,
-            PAPER_FREQUENCIES,
-            measure_campaign,
-        )
-        from repro import runtime
-        from repro.cluster.machine import paper_spec
-        from repro.units import mhz
-
-        body = request.json()
-        name, cls = self._parse_model(body)
-        platform = self._parse_platform(body)
-        bench = _build_benchmark(name, cls)
-        counts = tuple(
-            int(n) for n in body.get("counts", PAPER_COUNTS)
-        )
-        frequencies = tuple(
-            mhz(float(m))
-            for m in body.get(
-                "frequencies_mhz",
-                [f / 1e6 for f in PAPER_FREQUENCIES],
-            )
-        )
-        if not counts or not frequencies:
-            raise protocol.ProtocolError(
-                "campaign needs non-empty counts and frequencies_mhz"
-            )
-        if any(n < 1 for n in counts):
-            raise protocol.ProtocolError(
-                f"processor counts must be >= 1: {sorted(counts)}"
-            )
-        try:
-            backend = runtime.resolve_backend(body.get("backend"))
-        except ConfigurationError as exc:
-            raise protocol.ProtocolError(str(exc)) from exc
-        fabric = bool(body.get("fabric", False))
-        allow_partial = bool(body.get("allow_partial", False))
-        from repro.platforms import get_platform
-
-        spec = None if platform == "paper" else get_platform(platform)
-        spec_digest = self._spec_digests.get(platform)
-        if spec_digest is None:
-            spec_digest = runtime.spec_digest(spec or paper_spec())
-            self._spec_digests[platform] = spec_digest
-        digest = runtime.campaign_digest(
-            bench.name,
-            bench.problem_class.value,
-            counts,
-            frequencies,
-            spec_digest,
-            runtime.benchmark_digest(bench),
-            backend,
-        )
-        # Fabric execution computes identical results, so it shares
-        # the digest; allow_partial can produce a *different* document
-        # (missing cells + failure report) and must not collide with —
-        # or be served from — the full-campaign entry.
-        job_key = digest + ("+partial" if allow_partial else "")
-        label = f"{bench.name}.{bench.problem_class.value}"
-        from repro.runtime.metrics import METRICS
-
-        def run_job(job: jobs_mod.Job) -> dict[str, _t.Any]:
-            cache_key = ("campaign", job_key)
-            cached = self.responses.get(cache_key)
-            if cached is not None:
-                job.runtime = {"source": "service-cache"}
-                return cached
-            before = len(METRICS.records)
-            campaign = measure_campaign(
-                bench,
-                counts,
-                frequencies,
-                spec=spec,
-                backend=backend,
-                fabric=fabric or None,
-                allow_partial=allow_partial or None,
-            )
-            record = next(
-                (
-                    r
-                    for r in reversed(METRICS.records[before:])
-                    if r.label == label
-                ),
-                None,
-            )
-            if record is not None:
-                job.runtime = record.as_dict()
-            document = {
-                "benchmark": name,
-                "class": cls,
-                "platform": platform,
-                "base_frequency_hz": campaign.base_frequency_hz,
-                "data": {
-                    "times": campaign.times,
-                    "energies": campaign.energies,
-                    "speedups": campaign.speedups(),
-                },
-            }
-            if record is not None and record.failed_cells:
-                # Partial result: reusable only by this job's own
-                # poll, never by future submissions.
-                return document
-            self.responses.put(cache_key, document)
-            return document
-
-        job, created = self.jobs.submit(
-            job_key,
-            label,
-            run_job,
-            params={
-                "benchmark": name,
-                "class": cls,
-                "platform": platform,
-                "counts": list(counts),
-                "frequencies_mhz": [f / 1e6 for f in frequencies],
-                "backend": backend,
-                "fabric": fabric,
-                "allow_partial": allow_partial,
-            },
-        )
-        return 202, {
-            "job_id": job.id,
-            "status": job.status,
-            "key": digest,
-            "created": created,
-            "poll": f"/jobs/{job.id}",
-        }
-
-    def _handle_govern(
-        self, request: protocol.Request
-    ) -> tuple[int, _t.Any]:
-        """Run a governed simulation as a background job.
-
-        Body: ``benchmark``/``class``, ``ranks``, ``policy`` (registry
-        name), and either a named cap ``scenario`` or explicit
-        ``cluster_cap_w``/``node_cap_w`` watts; optional
-        ``epoch_phases``, ``safety`` and ``seed`` override the
-        environment defaults.  The job result carries the full
-        decision trace plus energy/time/EDP against the static
-        baseline governed under the same cap.
-        """
-        import hashlib
-        import json as json_mod
-
-        from repro.governor import (
-            POLICIES,
-            PowerCap,
-            govern_run,
-            power_cap_scenarios,
-            resolve_epoch_phases,
-            resolve_policy_name,
-            resolve_safety,
-        )
-
-        body = request.json()
-        name, cls = self._parse_model(body)
-        platform = self._parse_platform(body)
-        bench = _build_benchmark(name, cls)
-        try:
-            ranks = int(body.get("ranks", 4))
-        except (TypeError, ValueError):
-            raise protocol.ProtocolError(
-                f"ranks must be an integer, got {body.get('ranks')!r}"
-            )
-        if ranks < 1:
-            raise protocol.ProtocolError(f"ranks must be >= 1, got {ranks}")
-        policy = body.get("policy")
-        if policy is not None and policy not in POLICIES:
-            raise protocol.ProtocolError(
-                f"unknown policy {policy!r}; choose from {sorted(POLICIES)}"
-            )
-        from repro.platforms import get_platform
-
-        scenario = body.get("scenario")
-        try:
-            spec = get_platform(platform)
-            if scenario is not None:
-                scenarios = power_cap_scenarios(ranks, spec)
-                if scenario not in scenarios:
-                    raise protocol.ProtocolError(
-                        f"unknown cap scenario {scenario!r}; "
-                        f"choose from {sorted(scenarios)}"
-                    )
-                cap = scenarios[scenario]
-            elif body.get("cluster_cap_w") or body.get("node_cap_w"):
-                cap = PowerCap(
-                    label="custom",
-                    cluster_w=(
-                        float(body["cluster_cap_w"])
-                        if body.get("cluster_cap_w")
-                        else None
-                    ),
-                    node_w=(
-                        float(body["node_cap_w"])
-                        if body.get("node_cap_w")
-                        else None
-                    ),
-                )
-            else:
-                cap = PowerCap()
-            # Reject infeasible budgets at submit time, not in the job.
-            cap.allowed_frequencies_for(spec, ranks)
-            policy = resolve_policy_name(policy)
-            epoch_phases = resolve_epoch_phases(
-                int(body["epoch_phases"])
-                if body.get("epoch_phases") is not None
-                else None
-            )
-            safety = resolve_safety(
-                float(body["safety"])
-                if body.get("safety") is not None
-                else None
-            )
-        except ConfigurationError as exc:
-            raise protocol.ProtocolError(str(exc)) from exc
-        except (TypeError, ValueError) as exc:
-            raise protocol.ProtocolError(f"bad govern body: {exc}") from exc
-        seed = int(body.get("seed", 0))
-
-        params = {
-            "benchmark": name,
-            "class": cls,
-            "platform": platform,
-            "ranks": ranks,
-            "policy": policy,
-            "cap": cap.as_dict(),
-            "epoch_phases": epoch_phases,
-            "safety": safety,
-            "seed": seed,
-        }
-        job_key = "govern-" + hashlib.sha256(
-            json_mod.dumps(params, sort_keys=True).encode("utf-8")
-        ).hexdigest()
-        label = f"govern.{name}.{cls}.{policy}"
-
-        def run_job(job: jobs_mod.Job) -> dict[str, _t.Any]:
-            cache_key = ("govern", job_key)
-            cached = self.responses.get(cache_key)
-            if cached is not None:
-                job.runtime = {"source": "service-cache"}
-                return cached
-            governed = govern_run(
-                bench,
-                ranks,
-                policy,
-                cap,
-                spec=spec,
-                epoch_phases=epoch_phases,
-                safety=safety,
-                seed=seed,
-            )
-            baseline = govern_run(
-                bench,
-                ranks,
-                "static",
-                cap,
-                spec=spec,
-                epoch_phases=epoch_phases,
-                safety=safety,
-                seed=seed,
-            )
-            document = {
-                "params": params,
-                "governed": {
-                    "elapsed_s": governed.elapsed_s,
-                    "energy_j": governed.energy_j,
-                    "edp_j_s": governed.edp,
-                    "transitions": governed.trace.transitions,
-                    "trace_digest": governed.trace.digest(),
-                },
-                "baseline": {
-                    "policy": "static",
-                    "elapsed_s": baseline.elapsed_s,
-                    "energy_j": baseline.energy_j,
-                    "edp_j_s": baseline.edp,
-                },
-                "edp_ratio_vs_static": (
-                    governed.edp / baseline.edp if baseline.edp else 0.0
-                ),
-                "trace": governed.trace.to_document(),
-            }
-            self.responses.put(cache_key, document)
-            return document
-
-        job, created = self.jobs.submit(job_key, label, run_job, params=params)
-        return 202, {
-            "job_id": job.id,
-            "status": job.status,
-            "key": job_key,
-            "created": created,
-            "poll": f"/jobs/{job.id}",
-        }
-
-    def _handle_optimize(
-        self, request: protocol.Request
-    ) -> tuple[int, _t.Any]:
-        """Run the energy-optimal configuration search as a job.
-
-        Body: ``benchmark``/``class``, ``objective``
-        (energy/edp/time), optional ``platforms`` (default: every
-        registered platform), ``counts``, and either a named cap
-        ``scenario`` or explicit ``cluster_cap_w``/``node_cap_w``
-        watts; ``confirm: false`` skips the DES confirmation of the
-        winner.  The job result is the full candidate ranking
-        (:meth:`repro.optimizer.OptimizeResult.as_dict`).
-        """
-        import hashlib
-        import json as json_mod
-
-        from repro.governor import PowerCap, power_cap_scenarios
-        from repro.optimizer import check_objective, optimize
-        from repro.platforms import check_platform
-
-        body = request.json()
-        name, cls = self._parse_model(body)
-        try:
-            objective = check_objective(body.get("objective", "energy"))
-            platforms = body.get("platforms")
-            if platforms is not None:
-                if not isinstance(platforms, list) or not platforms:
-                    raise protocol.ProtocolError(
-                        "'platforms' must be a non-empty list of "
-                        "platform names"
-                    )
-                platforms = tuple(
-                    check_platform(str(p)) for p in platforms
-                )
-            counts = body.get("counts")
-            if counts is not None:
-                counts = tuple(int(n) for n in counts)
-                if not counts or any(n < 1 for n in counts):
-                    raise protocol.ProtocolError(
-                        "'counts' must be a non-empty list of "
-                        "processor counts >= 1"
-                    )
-            scenario = body.get("scenario")
-            if scenario is not None:
-                from repro.experiments.platform import PAPER_COUNTS
-
-                ranks = max(counts) if counts else max(PAPER_COUNTS)
-                scenarios = power_cap_scenarios(ranks)
-                if scenario not in scenarios:
-                    raise protocol.ProtocolError(
-                        f"unknown cap scenario {scenario!r}; "
-                        f"choose from {sorted(scenarios)}"
-                    )
-                cap = scenarios[scenario]
-            elif body.get("cluster_cap_w") or body.get("node_cap_w"):
-                cap = PowerCap(
-                    label="custom",
-                    cluster_w=(
-                        float(body["cluster_cap_w"])
-                        if body.get("cluster_cap_w")
-                        else None
-                    ),
-                    node_w=(
-                        float(body["node_cap_w"])
-                        if body.get("node_cap_w")
-                        else None
-                    ),
-                )
-            else:
-                cap = PowerCap()
-        except ConfigurationError as exc:
-            raise protocol.ProtocolError(str(exc)) from exc
-        except (TypeError, ValueError) as exc:
-            raise protocol.ProtocolError(
-                f"bad optimize body: {exc}"
-            ) from exc
-        confirm = bool(body.get("confirm", True))
-
-        params = {
-            "benchmark": name,
-            "class": cls,
-            "objective": objective,
-            "platforms": list(platforms) if platforms else None,
-            "counts": list(counts) if counts else None,
-            "cap": cap.as_dict(),
-            "confirm": confirm,
-        }
-        job_key = "optimize-" + hashlib.sha256(
-            json_mod.dumps(params, sort_keys=True).encode("utf-8")
-        ).hexdigest()
-        label = f"optimize.{name}.{cls}.{objective}"
-
-        def run_job(job: jobs_mod.Job) -> dict[str, _t.Any]:
-            cache_key = ("optimize", job_key)
-            cached = self.responses.get(cache_key)
-            if cached is not None:
-                job.runtime = {"source": "service-cache"}
-                return cached
-            result = optimize(
-                name,
-                cls,
-                objective=objective,
-                platforms=platforms,
-                counts=counts,
-                cap=cap,
-                confirm=confirm,
-            )
-            document = result.as_dict()
-            self.responses.put(cache_key, document)
-            return document
-
-        job, created = self.jobs.submit(job_key, label, run_job, params=params)
-        return 202, {
-            "job_id": job.id,
-            "status": job.status,
-            "key": job_key,
-            "created": created,
-            "poll": f"/jobs/{job.id}",
-        }
-
-    def _handle_experiments_list(self) -> dict[str, _t.Any]:
         from repro.experiments.registry import (
             get_experiment,
             list_experiments,
@@ -1101,30 +666,37 @@ class ReproService:
                     "stages": [stage.name for stage in spec.stages],
                 }
             )
-        return {"experiments": experiments}
+        return 200, {"experiments": experiments}
 
-    def _handle_experiment(
+    def _handle_job_request(
         self, request: protocol.Request
     ) -> tuple[int, _t.Any]:
-        import hashlib
-        import json as json_mod
+        """``POST /campaign|/govern|/optimize``: submit the typed request
+        the JSON body names; any invalid field is a 400."""
+        body = request.json()
+        if not isinstance(body, dict):
+            raise protocol.ProtocolError("request body must be a JSON object")
+        try:
+            job = _job_request(request.path, body)
+        except (ReproError, TypeError, ValueError) as exc:
+            raise protocol.ProtocolError(str(exc)) from exc
+        return self._submit_job(
+            job.job_key(),
+            job.label,
+            job.params(),
+            job.document,
+            job.ticket_key(),
+        )
 
+    def _handle_experiment(
+        self, request: protocol.Request, exp_id: str
+    ) -> tuple[int, _t.Any]:
         from repro.experiments.registry import (
             UnknownExperimentError,
             get_experiment,
         )
+        from repro.pipeline import ArtifactStore, inputs_digest, run_single
 
-        rest = request.path[len("/experiments/") :]
-        exp_id, _, extra = rest.partition("/")
-        if extra:
-            return 404, protocol.error_payload(
-                "not_found", f"unknown path {request.path!r}"
-            )
-        if request.method != "POST":
-            return 405, protocol.error_payload(
-                "method_not_allowed",
-                f"{request.method} not supported on /experiments/<id>",
-            )
         try:
             spec = get_experiment(exp_id)
         except UnknownExperimentError as exc:
@@ -1137,53 +709,80 @@ class ReproService:
                 "request body must be a JSON object of experiment "
                 "parameters"
             )
-        params = {str(key): value for key, value in body.items()}
-        digest = (
-            "exp-"
-            + hashlib.sha256(
-                json_mod.dumps(
-                    {"experiment": exp_id, "params": params},
-                    sort_keys=True,
-                    default=repr,
-                ).encode()
-            ).hexdigest()[:16]
-        )
-        label = f"experiment:{exp_id}"
+        values = {str(key): value for key, value in body.items()}
+        params = {"experiment": exp_id, "params": values}
 
-        def run_job(job: jobs_mod.Job) -> dict[str, _t.Any]:
-            cache_key = ("experiment", digest)
-            cached = self.responses.get(cache_key)
-            if cached is not None:
-                job.runtime = {"source": "service-cache"}
-                return cached
-            from repro.pipeline import ArtifactStore, run_single
-
+        def document() -> dict[str, _t.Any]:
             store = ArtifactStore()
-            result = run_single(spec, dict(params), store=store)
-            document = {
+            result = run_single(spec, dict(values), store=store)
+            return {
                 **result.document(),
                 "text": result.text,
                 "provenance": store.provenance_document(),
             }
-            self.responses.put(cache_key, document)
+
+        return self._submit_job(
+            "exp-" + inputs_digest(params),
+            f"experiment:{exp_id}",
+            params,
+            document,
+        )
+
+    def _submit_job(
+        self,
+        key: str,
+        label: str,
+        params: dict[str, _t.Any],
+        compute: _t.Callable[[], dict[str, _t.Any]],
+        ticket_key: str | None = None,
+    ) -> tuple[int, _t.Any]:
+        """The one job path: dedup, response-cache replay, 202 ticket.
+
+        A ``key`` with an active job joins it; a ``key`` whose document
+        is cached gets a job that replays it; else ``compute`` runs on a
+        job thread.  The ticket reports ``ticket_key`` (default ``key``).
+        """
+        from repro.runtime.metrics import METRICS
+
+        def run_job(job: jobs_mod.Job) -> dict[str, _t.Any]:
+            cached = self.responses.get(("job", key))
+            if cached is not None:
+                job.runtime = {"source": "service-cache"}
+                return cached
+            before = len(METRICS.records)
+            document = compute()
+            # A campaign job's metrics record carries its label; other
+            # kinds record nothing under theirs.
+            record = next(
+                (
+                    r
+                    for r in reversed(METRICS.records[before:])
+                    if r.label == label
+                ),
+                None,
+            )
+            if record is not None:
+                job.runtime = record.as_dict()
+                if record.failed_cells:
+                    # Partial result: reusable only by this job's own
+                    # poll, never by future submissions.
+                    return document
+            self.responses.put(("job", key), document)
             return document
 
-        job, created = self.jobs.submit(
-            digest,
-            label,
-            run_job,
-            params={"experiment": exp_id, "params": params},
-        )
+        job, created = self.jobs.submit(key, label, run_job, params=params)
         return 202, {
             "job_id": job.id,
             "status": job.status,
-            "key": digest,
+            "key": ticket_key or key,
             "created": created,
             "poll": f"/jobs/{job.id}",
         }
 
-    def _handle_jobs_list(self) -> dict[str, _t.Any]:
-        return {
+    def _handle_jobs_list(
+        self, _request: protocol.Request
+    ) -> tuple[int, _t.Any]:
+        return 200, {
             "jobs": [
                 job.as_dict(include_result=False)
                 for job in self.jobs.jobs()
@@ -1192,23 +791,15 @@ class ReproService:
         }
 
     def _handle_job(
-        self, request: protocol.Request
+        self, _request: protocol.Request, job_id: str
     ) -> tuple[int, _t.Any]:
-        rest = request.path[len("/jobs/") :]
-        job_id, _, action = rest.partition("/")
-        if action == "cancel" and request.method == "POST":
-            job = self.jobs.cancel(job_id)
-            return 200, job.as_dict(include_result=False)
-        if action:
-            return 404, protocol.error_payload(
-                "not_found", f"unknown job action {action!r}"
-            )
-        if request.method != "GET":
-            return 405, protocol.error_payload(
-                "method_not_allowed",
-                f"{request.method} not supported on /jobs/<id>",
-            )
         return 200, self.jobs.job(job_id).as_dict()
+
+    def _handle_cancel(
+        self, _request: protocol.Request, job_id: str
+    ) -> tuple[int, _t.Any]:
+        job = self.jobs.cancel(job_id)
+        return 200, job.as_dict(include_result=False)
 
     # -- model registry -------------------------------------------------------
 
@@ -1347,6 +938,73 @@ def _parse_points(body: dict) -> tuple[tuple[int, float], ...]:
         raise protocol.ProtocolError("processor counts must be >= 1")
     return tuple(dict.fromkeys(points))
 
+
+
+def _job_request(path: str, body: dict) -> _t.Any:
+    """The typed request (:mod:`repro.pipeline.requests`) a job body names.
+
+    Each route maps its fields beyond ``benchmark`` and ``class`` to a
+    type, or ``[type]`` for a list.  Absent and null fields take the
+    request's defaults; a value of another type is a 400 naming it.
+    """
+    from repro.pipeline import CampaignRequest, GovernRequest, OptimizeRequest
+
+    cap = {"scenario": str, "cluster_cap_w": float, "node_cap_w": float}
+    build, types = {
+        "/campaign": (
+            CampaignRequest.for_job,
+            {
+                "counts": [int],
+                "frequencies_mhz": [float],
+                "backend": str,
+                "platform": str,
+                "fabric": bool,
+                "allow_partial": bool,
+            },
+        ),
+        "/govern": (
+            GovernRequest,
+            {
+                "ranks": int,
+                "policy": str,
+                **cap,
+                "platform": str,
+                "epoch_phases": int,
+                "safety": float,
+                "seed": int,
+            },
+        ),
+        "/optimize": (
+            OptimizeRequest,
+            {
+                "objective": str,
+                "platforms": [str],
+                "counts": [int],
+                **cap,
+                "confirm": bool,
+            },
+        ),
+    }[path]
+    fields: dict[str, _t.Any] = {}
+    for name, kind in {"benchmark": str, "class": str, **types}.items():
+        value = body.get(name)
+        if value is None:
+            continue
+        many = isinstance(kind, list)
+        item = kind[0] if many else kind
+        try:
+            if many and not isinstance(value, list):
+                raise TypeError
+            value = tuple(map(item, value)) if many else item(value)
+        except (TypeError, ValueError):
+            shape = f"a list of {item.__name__}" if many else item.__name__
+            raise protocol.ProtocolError(
+                f"{name!r} must be {shape}, got {body[name]!r}"
+            ) from None
+        fields["problem_class" if name == "class" else name] = value
+    if "benchmark" not in fields:
+        raise protocol.ProtocolError("request needs a 'benchmark' field")
+    return build(**fields)
 
 class ServiceThread:
     """An in-process service on its own thread + event loop.

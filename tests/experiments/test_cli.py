@@ -106,3 +106,174 @@ class TestServeRegistration:
         assert "--port" in out
         assert "--warmup" in out
         assert "--allow-faults" in out
+
+
+class TestGovern:
+    def test_table_rows_and_json(self, tmp_path, capsys):
+        out_path = tmp_path / "trace.json"
+        status = cli.main(
+            [
+                "govern",
+                "ft",
+                "--class",
+                "S",
+                "--ranks",
+                "4",
+                "--policy",
+                "model_predictive",
+                "--scenario",
+                "cluster_cap",
+                "--seed",
+                "3",
+                "--json",
+                str(out_path),
+            ]
+        )
+        assert status == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:8] == [
+            "FT class S at N=4, cap 'cluster_cap' (7 epochs)",
+            "          policy  time [s]  energy [J]  EDP [J*s]  transitions",
+            "----------------  --------  ----------  ---------  -----------",
+            "          static     1.363       156.5      213.3            0",
+            "model_predictive     1.543       123.4      190.4            4",
+            "",
+            "EDP vs static baseline: 0.892  (trace digest ffec3e97141c42b8)",
+            f"[decision trace written to {out_path}]",
+        ]
+        document = json.loads(out_path.read_text())
+        assert list(document) == ["baseline", "edp_ratio_vs_static", "trace"]
+        assert list(document["baseline"]) == [
+            "elapsed_s",
+            "energy_j",
+            "edp_j_s",
+        ]
+        trace = document["trace"]
+        assert trace["policy"] == "model_predictive"
+        assert trace["cap"]["label"] == "cluster_cap"
+        assert trace["seed"] == 3
+        assert f"{document['edp_ratio_vs_static']:.3f}" == "0.892"
+
+    def test_custom_watt_budget(self, capsys):
+        status = cli.main(
+            [
+                "govern",
+                "ep",
+                "--class",
+                "S",
+                "--ranks",
+                "2",
+                "--policy",
+                "static",
+                "--node-cap-w",
+                "26",
+            ]
+        )
+        assert status == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "EP class S at N=2, cap 'custom' (2 epochs)"
+        assert lines[3] == "static     5.668       291.9     1654.5            0"
+
+    def test_unknown_scenario_exits_2(self, capsys):
+        assert cli.main(["govern", "ep", "--scenario", "brownout"]) == 2
+        assert "unknown cap scenario 'brownout'" in capsys.readouterr().err
+
+
+class TestOptimize:
+    def test_table_rows_and_json(self, tmp_path, capsys):
+        out_path = tmp_path / "winner.json"
+        status = cli.main(
+            [
+                "optimize",
+                "ep",
+                "--class",
+                "S",
+                "--counts",
+                "1,2,4",
+                "--objective",
+                "edp",
+                "--scenario",
+                "cluster_cap",
+                "--no-confirm",
+                "--top",
+                "3",
+                "--json",
+                str(out_path),
+            ]
+        )
+        assert status == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:10] == [
+            "EP class S: top 3 of 42 feasible configs by edp, "
+            "cap 'cluster_cap'",
+            "     platform  N  f [MHz]  time [s]  energy [J]  EDP [J*s]"
+            "  mean [W]",
+            "-------------  -  -------  --------  ----------  ---------"
+            "  --------",
+            "  hetero-2gen  4     1200     2.365       287.4      679.6"
+            "     121.5",
+            "        paper  4     1200     2.365       287.4      679.6"
+            "     121.5",
+            "paper-memwall  4     1200     2.365       287.5      679.9"
+            "     121.5",
+            "",
+            "winner: hetero-2gen at N=4, f=1200 MHz (edp = 679.6)",
+            "[3 candidates over cap, 0 cells skipped]",
+            f"[optimizer result written to {out_path}]",
+        ]
+        document = json.loads(out_path.read_text())
+        assert list(document) == [
+            "benchmark",
+            "class",
+            "objective",
+            "cap",
+            "platforms",
+            "counts",
+            "winner",
+            "candidates",
+            "skipped",
+            "confirmation",
+        ]
+        assert document["counts"] == [1, 2, 4]
+        assert document["confirmation"] is None
+
+    def test_custom_watt_budget(self, capsys):
+        status = cli.main(
+            [
+                "optimize",
+                "ep",
+                "--class",
+                "S",
+                "--platforms",
+                "paper",
+                "--counts",
+                "1,2",
+                "--node-cap-w",
+                "26",
+                "--no-confirm",
+                "--top",
+                "2",
+            ]
+        )
+        assert status == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            "EP class S: top 2 of 6 feasible configs by energy, cap 'custom'"
+        )
+        assert lines[3] == (
+            "   paper  1     1000    11.329       291.7     3305.2      25.8"
+        )
+
+    def test_unknown_scenario_exits_2(self, capsys):
+        assert cli.main(["optimize", "ep", "--scenario", "brownout"]) == 2
+        assert "unknown cap scenario 'brownout'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["campaign", "optimize"])
+def test_malformed_counts_exit_2(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        cli.main([command, "ep", "--counts", "1,x"])
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "--counts" in err
+    assert "Traceback" not in err

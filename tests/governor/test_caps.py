@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.machine import paper_spec
 from repro.cluster.power import PowerState
 from repro.errors import ConfigurationError
-from repro.governor import PowerCap, power_cap_scenarios
+from repro.governor import PowerCap, power_cap_scenarios, resolve_cap
 from repro.units import mhz
 
 
@@ -87,3 +87,20 @@ class TestScenarios:
             spec.cpu.operating_points, spec.power, 4
         )
         assert max(allowed) == mhz(1000)
+
+
+class TestResolveCap:
+    def test_scenario_wins_over_watts(self, spec):
+        cap = resolve_cap(4, spec, "node_cap", cluster_w=500.0)
+        assert cap == power_cap_scenarios(4, spec)["node_cap"]
+
+    def test_watts_build_a_custom_cap(self, spec):
+        cap = resolve_cap(4, spec, node_w=26.0)
+        assert cap == PowerCap(label="custom", node_w=26.0)
+
+    def test_zero_watts_count_as_not_given(self, spec):
+        assert resolve_cap(4, spec, cluster_w=0.0, node_w=0.0) == PowerCap()
+
+    def test_unknown_scenario_names_the_choices(self, spec):
+        with pytest.raises(ConfigurationError, match="choose from"):
+            resolve_cap(4, spec, "brownout")

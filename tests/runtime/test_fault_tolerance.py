@@ -3,6 +3,7 @@ fault-injection harness, per-cell retries, timeouts with hung-worker
 termination, crash recovery that keeps finished cells, and the
 partial-results degradation mode."""
 
+import concurrent.futures
 import time
 
 import pytest
@@ -230,6 +231,31 @@ class TestCrashRecovery:
         # Most of the grid must NOT have been re-simulated.
         single = sum(1 for c in attempts.values() if c == 1)
         assert single >= N_CELLS // 2
+
+    def test_pool_broken_while_submitting_is_a_crash(
+        self, clean, monkeypatch
+    ):
+        # A reused pool whose worker dies at once breaks before the
+        # round is fully submitted, so submit() itself raises.
+        real = runner._get_executor
+        died = []
+
+        class DiesOnSubmit:
+            def submit(self, *args, **kwargs):
+                died.append(True)
+                raise concurrent.futures.process.BrokenProcessPool("died")
+
+        monkeypatch.setattr(
+            runner,
+            "_get_executor",
+            lambda jobs: real(jobs) if died else DiesOnSubmit(),
+        )
+        ep = EPBenchmark(ProblemClass.S)
+        again = measure_campaign(ep, *GRID, use_cache=False, jobs=2)
+        assert again.times == clean.times
+        record = _last_record()
+        assert record["crash_recoveries"] == 1
+        assert all(count == 1 for *_cell, count in record["cell_attempts"])
 
     def test_summary_line_reports_faults(self):
         install_fault_plan(

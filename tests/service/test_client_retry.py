@@ -9,6 +9,7 @@ POSTs (the fabric workers' case — their completions deduplicate
 server-side).
 """
 
+import contextlib
 import socket
 import threading
 
@@ -61,6 +62,10 @@ class FlakyServer:
 
     def __exit__(self, *_exc) -> None:
         self._stop.set()
+        # Closing a listening socket does not wake a thread blocked in
+        # accept() on Linux; shutting it down first does.
+        with contextlib.suppress(OSError):
+            self._sock.shutdown(socket.SHUT_RDWR)
         self._sock.close()
         self._thread.join(timeout=5.0)
 
