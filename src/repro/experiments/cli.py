@@ -58,11 +58,12 @@ static baseline governed under the same cap (see
 
 ``--platform NAME`` selects a registered platform (``paper``,
 ``paper-memwall``, ``hetero-2gen``; see ``docs/PLATFORMS.md``) for
-the command's campaigns and governed runs — equivalent to setting
-``REPRO_PLATFORM``.  ``optimize`` searches every ``(platform, N, f)``
-configuration for the energy/EDP/time-optimal one under a power
-budget, pricing candidates analytically and confirming the winner in
-the simulator (:mod:`repro.optimizer`).
+``campaign`` and ``govern`` — equivalent to setting
+``REPRO_PLATFORM``.  The campaigns of registry experiments (``run``,
+``run-all``) always use the paper platform.  ``optimize`` searches
+every ``(platform, N, f)`` configuration for the energy/EDP/time-optimal
+one under a power budget, pricing candidates analytically and
+confirming the winner in the simulator (:mod:`repro.optimizer`).
 """
 
 from __future__ import annotations
@@ -576,8 +577,9 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         "--platform",
         default=None,
         metavar="NAME",
-        help="registered platform for this command's campaigns "
-        "(see 'platforms'; default: paper, or REPRO_PLATFORM)",
+        help="registered platform for 'campaign' (see 'platforms'; "
+        "default: paper, or REPRO_PLATFORM); experiment campaigns "
+        "always use paper",
     )
     runtime_opts.add_argument(
         "--fabric",

@@ -13,6 +13,14 @@ a per-process dict plus a content-addressed on-disk cache under
 ``.repro_cache/`` that survives process restarts.  Campaigns measured
 on ``spec``-overridden platforms are cached too (the key includes a
 digest of every spec field), so ablations only ever simulate once.
+
+Three steps on a campaign's cache key are the only code that touches
+the cache tiers or writes campaign records: :func:`lookup_campaign`
+(memory, then disk), :func:`run_cells` (execute plus one record) and
+:func:`store_campaign` (both tiers).  :func:`measure_campaign` is
+lookup → run → store, :func:`peek_campaign` is lookup, and the
+experiment planner (:mod:`repro.pipeline.planner`) composes the same
+steps over whole plans.
 """
 
 from __future__ import annotations
@@ -32,7 +40,9 @@ __all__ = [
     "PAPER_FREQUENCIES",
     "measure_campaign",
     "peek_campaign",
-    "adopt_campaign",
+    "lookup_campaign",
+    "run_cells",
+    "store_campaign",
     "clear_campaign_cache",
 ]
 
@@ -113,6 +123,130 @@ def _cache_key(
     )
 
 
+def _label(key: tuple) -> str:
+    """Campaign label (``ft.S``) of a cache key."""
+    return f"{key[0]}.{key[1]}"
+
+
+def lookup_campaign(
+    key: tuple, *, disk_cache: bool | None = None
+) -> TimingCampaign | None:
+    """The cached campaign under ``key``, or ``None`` — never simulates.
+
+    Checks the per-process tier, then the on-disk tier (promoting a
+    disk hit into memory).  A hit writes one ``memory`` or ``disk``
+    campaign record.
+    """
+    start = time.perf_counter()
+    source = "memory"
+    campaign = _CACHE.get(key)
+    if campaign is None:
+        if not runtime.disk_cache_enabled(disk_cache):
+            return None
+        campaign = runtime.disk_cache().get(runtime.campaign_digest(*key))
+        if campaign is None:
+            return None
+        _CACHE[key] = campaign
+        source = "disk"
+    runtime.METRICS.record(
+        runtime.CampaignRecord(
+            label=_label(key),
+            source=source,
+            cells=len(key[2]) * len(key[3]),
+            wall_s=time.perf_counter() - start,
+        )
+    )
+    return campaign
+
+
+def run_cells(
+    key: tuple,
+    benchmark: BenchmarkModel,
+    cells: _t.Sequence[tuple[int, float]],
+    spec: ClusterSpec | None,
+    *,
+    jobs: int | None = None,
+    retries: int | None = None,
+    cell_timeout: float | None = None,
+    allow_partial: bool | None = None,
+    fabric: bool | None = None,
+) -> runtime.CampaignExecution:
+    """Execute ``cells`` of the campaign under ``key``.
+
+    Runs :func:`repro.runtime.execute_cells` on ``spec`` (``None`` is
+    the paper cluster) with the key's backend, then writes one
+    ``simulated`` campaign record — or one ``failed`` record before
+    re-raising :class:`~repro.errors.CampaignExecutionError`.
+    """
+    start = time.perf_counter()
+    label = _label(key)
+    try:
+        execution = runtime.execute_cells(
+            benchmark,
+            cells,
+            spec if spec is not None else paper_spec(),
+            jobs=runtime.resolve_jobs(jobs, len(cells)),
+            retries=runtime.resolve_retries(retries),
+            cell_timeout=runtime.resolve_cell_timeout(cell_timeout),
+            backoff_s=runtime.resolve_retry_backoff(),
+            allow_partial=runtime.resolve_allow_partial(allow_partial),
+            backend=key[6],
+            fabric=fabric,
+        )
+    except CampaignExecutionError as error:
+        runtime.METRICS.record(
+            runtime.CampaignRecord(
+                label=label,
+                source="failed",
+                cells=len(cells),
+                wall_s=time.perf_counter() - start,
+                failed_cells=len(error.failures),
+                failures=tuple(
+                    {"cell": list(err.cell), "error": str(err)}
+                    for err in error.failures
+                ),
+            )
+        )
+        raise
+    runtime.METRICS.record(
+        runtime.CampaignRecord(
+            label=label,
+            source="simulated",
+            cells=len(cells),
+            wall_s=time.perf_counter() - start,
+            jobs=execution.jobs,
+            analytic_cells=execution.analytic_cells,
+            fabric_cells=execution.fabric_cells,
+            fabric_workers=execution.fabric_workers,
+            fabric_reassignments=execution.fabric_reassignments,
+            cell_wall_s=execution.cell_wall_s,
+            attempts=len(execution.attempts),
+            retries=execution.retry_count,
+            timeouts=execution.timeout_count,
+            crash_recoveries=execution.crash_recoveries,
+            failed_cells=len(execution.failures),
+            cell_attempts=tuple(
+                (n, f, count)
+                for (n, f), count in execution.cell_attempts().items()
+            ),
+            failures=tuple(execution.failure_report()),
+            events_processed=execution.events_processed,
+            processes_spawned=execution.processes_spawned,
+            peak_queue_len=execution.peak_queue_len,
+        )
+    )
+    return execution
+
+
+def store_campaign(
+    key: tuple, campaign: TimingCampaign, *, disk_cache: bool | None = None
+) -> None:
+    """Write a complete campaign to both cache tiers under ``key``."""
+    _CACHE[key] = campaign
+    if runtime.disk_cache_enabled(disk_cache):
+        runtime.disk_cache().put(runtime.campaign_digest(*key), campaign)
+
+
 def measure_campaign(
     benchmark: BenchmarkModel,
     counts: _t.Sequence[int] = PAPER_COUNTS,
@@ -170,112 +304,31 @@ def measure_campaign(
     as an alternative to ``spec``; ``None`` resolves the configured
     default (``REPRO_PLATFORM`` or the paper cluster).
     """
-    start = time.perf_counter()
     spec = _resolve_spec(spec, platform)
     key = _cache_key(benchmark, counts, frequencies, spec, backend)
-    label = f"{benchmark.name}.{benchmark.problem_class.value}"
-    n_cells = len(key[2]) * len(key[3])
-
-    if use_cache and key in _CACHE:
-        campaign = _CACHE[key]
-        runtime.METRICS.record(
-            runtime.CampaignRecord(
-                label=label,
-                source="memory",
-                cells=n_cells,
-                wall_s=time.perf_counter() - start,
-            )
-        )
-        return campaign
-
-    store = (
-        runtime.disk_cache()
-        if use_cache and runtime.disk_cache_enabled(disk_cache)
-        else None
-    )
-    digest = runtime.campaign_digest(*key) if store is not None else ""
-    if store is not None:
-        campaign = store.get(digest)
+    if use_cache:
+        campaign = lookup_campaign(key, disk_cache=disk_cache)
         if campaign is not None:
-            _CACHE[key] = campaign
-            runtime.METRICS.record(
-                runtime.CampaignRecord(
-                    label=label,
-                    source="disk",
-                    cells=n_cells,
-                    wall_s=time.perf_counter() - start,
-                )
-            )
             return campaign
-
-    node_spec = spec if spec is not None else paper_spec()
-    try:
-        execution = runtime.execute_campaign(
-            benchmark,
-            key[2],
-            key[3],
-            node_spec,
-            jobs=runtime.resolve_jobs(jobs, n_cells),
-            retries=runtime.resolve_retries(retries),
-            cell_timeout=runtime.resolve_cell_timeout(cell_timeout),
-            backoff_s=runtime.resolve_retry_backoff(),
-            allow_partial=runtime.resolve_allow_partial(allow_partial),
-            backend=key[6],
-            fabric=fabric,
-        )
-    except CampaignExecutionError as error:
-        runtime.METRICS.record(
-            runtime.CampaignRecord(
-                label=label,
-                source="failed",
-                cells=n_cells,
-                wall_s=time.perf_counter() - start,
-                failed_cells=len(error.failures),
-                failures=tuple(
-                    {"cell": list(err.cell), "error": str(err)}
-                    for err in error.failures
-                ),
-            )
-        )
-        raise
+    execution = run_cells(
+        key,
+        benchmark,
+        [(n, f) for n in key[2] for f in key[3]],
+        spec,
+        jobs=jobs,
+        retries=retries,
+        cell_timeout=cell_timeout,
+        allow_partial=allow_partial,
+        fabric=fabric,
+    )
     campaign = TimingCampaign(
         times=execution.times,
         base_frequency_hz=min(key[3]),
         energies=execution.energies,
-        label=label,
+        label=_label(key),
     )
     if use_cache and not execution.failures:
-        _CACHE[key] = campaign
-        if store is not None:
-            store.put(digest, campaign)
-    cell_attempts = execution.cell_attempts()
-    runtime.METRICS.record(
-        runtime.CampaignRecord(
-            label=label,
-            source="simulated",
-            cells=n_cells,
-            wall_s=time.perf_counter() - start,
-            jobs=execution.jobs,
-            analytic_cells=execution.analytic_cells,
-            fabric_cells=execution.fabric_cells,
-            fabric_workers=execution.fabric_workers,
-            fabric_reassignments=execution.fabric_reassignments,
-            cell_wall_s=execution.cell_wall_s,
-            attempts=len(execution.attempts),
-            retries=execution.retry_count,
-            timeouts=execution.timeout_count,
-            crash_recoveries=execution.crash_recoveries,
-            failed_cells=len(execution.failures),
-            cell_attempts=tuple(
-                (n, f, count)
-                for (n, f), count in cell_attempts.items()
-            ),
-            failures=tuple(execution.failure_report()),
-            events_processed=execution.events_processed,
-            processes_spawned=execution.processes_spawned,
-            peak_queue_len=execution.peak_queue_len,
-        )
-    )
+        store_campaign(key, campaign, disk_cache=disk_cache)
     return campaign
 
 
@@ -286,85 +339,15 @@ def peek_campaign(
     spec: ClusterSpec | None = None,
     *,
     disk_cache: bool | None = None,
-    record: bool = True,
     backend: str | None = None,
     platform: str | None = None,
 ) -> TimingCampaign | None:
-    """Cache-only campaign lookup — never simulates.
-
-    Checks the per-process tier, then the on-disk tier (promoting a
-    disk hit into memory), and returns ``None`` on a full miss.  The
-    cross-experiment planner (:mod:`repro.pipeline`) peeks before
-    batching so cached campaigns never re-enter the execution union.
-    ``record=True`` reports hits to the runtime metrics exactly like
-    :func:`measure_campaign`'s cache-hit path.
-    """
-    start = time.perf_counter()
-    spec = _resolve_spec(spec, platform)
-    key = _cache_key(benchmark, counts, frequencies, spec, backend)
-    label = f"{benchmark.name}.{benchmark.problem_class.value}"
-    n_cells = len(key[2]) * len(key[3])
-    if key in _CACHE:
-        campaign = _CACHE[key]
-        if record:
-            runtime.METRICS.record(
-                runtime.CampaignRecord(
-                    label=label,
-                    source="memory",
-                    cells=n_cells,
-                    wall_s=time.perf_counter() - start,
-                )
-            )
-        return campaign
-    if runtime.disk_cache_enabled(disk_cache):
-        digest = runtime.campaign_digest(*key)
-        campaign = runtime.disk_cache().get(digest)
-        if campaign is not None:
-            _CACHE[key] = campaign
-            if record:
-                runtime.METRICS.record(
-                    runtime.CampaignRecord(
-                        label=label,
-                        source="disk",
-                        cells=n_cells,
-                        wall_s=time.perf_counter() - start,
-                    )
-                )
-            return campaign
-    return None
-
-
-def adopt_campaign(
-    benchmark: BenchmarkModel,
-    counts: _t.Sequence[int],
-    frequencies: _t.Sequence[float],
-    campaign: TimingCampaign,
-    spec: ClusterSpec | None = None,
-    *,
-    disk_cache: bool | None = None,
-    backend: str | None = None,
-    platform: str | None = None,
-) -> None:
-    """Insert an externally-assembled campaign into both cache tiers.
-
-    The planner assembles per-experiment campaigns from the shared
-    batch's cells; adopting them here keeps the cache tiers exactly
-    as warm as if each campaign had gone through
-    :func:`measure_campaign`, so later direct calls (and warm-start
-    processes) hit instead of re-simulating.  Only complete campaigns
-    may be adopted — partial grids would poison the cache.
-    """
-    spec = _resolve_spec(spec, platform)
-    key = _cache_key(benchmark, counts, frequencies, spec, backend)
-    expected = len(key[2]) * len(key[3])
-    if len(campaign.times) != expected:
-        raise ValueError(
-            f"refusing to adopt partial campaign {campaign.label!r}: "
-            f"{len(campaign.times)} of {expected} cells"
-        )
-    _CACHE[key] = campaign
-    if runtime.disk_cache_enabled(disk_cache):
-        runtime.disk_cache().put(runtime.campaign_digest(*key), campaign)
+    """Cache-only :func:`measure_campaign`: :func:`lookup_campaign` on
+    the same key, ``None`` on a full miss."""
+    key = _cache_key(
+        benchmark, counts, frequencies, _resolve_spec(spec, platform), backend
+    )
+    return lookup_campaign(key, disk_cache=disk_cache)
 
 
 def clear_campaign_cache() -> None:

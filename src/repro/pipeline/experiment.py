@@ -130,8 +130,9 @@ class StageContext:
         ``which`` is an index into the spec's resolved requests or a
         request object.  Campaigns come from the shared store (the
         planner put them there); a request the planner never saw
-        falls back to ``measure_campaign`` — whose cache the planner
-        kept warm, so the at-most-once guarantee holds either way.
+        falls back to :meth:`CampaignRequest.measure` — whose cache
+        the planner kept warm, so the at-most-once guarantee holds
+        either way.
         """
         request = (
             self.requests[which] if isinstance(which, int) else which
@@ -139,15 +140,7 @@ class StageContext:
         artifact = self.store.campaign(request)
         if artifact is not None:
             return artifact.value
-        from repro.experiments.platform import measure_campaign
-
-        return measure_campaign(
-            request.build(),
-            request.counts,
-            request.frequencies,
-            spec=request.spec,
-            backend=request.backend,
-        )
+        return request.measure()
 
 
 def _run_stages(

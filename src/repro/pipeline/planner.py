@@ -5,19 +5,25 @@ of experiments, the planner:
 
 1. **Dedupes** requests by content digest — identical grids from
    different experiments collapse to one.
-2. **Peeks** the existing cache tiers (memory, then disk) for each
-   unique request; hits never re-enter execution, and their cells seed
-   the process-global cell index so *overlapping* grids reuse them
-   too.
+2. **Looks up** each unique request's key in the cache tiers
+   (:func:`~repro.experiments.platform.lookup_campaign`: memory, then
+   disk); hits never re-enter execution, and their cells seed the
+   process-global cell index so *overlapping* grids reuse them too.
 3. Computes, per execution group (same benchmark config + platform),
-   the **union of still-missing cells** and simulates each union once
-   through :func:`repro.runtime.execute_cells` — one batch per group,
-   inheriting the runner's parallelism and fault tolerance.
+   the **union of still-missing cells** and runs each union once
+   through :func:`~repro.experiments.platform.run_cells` — one batch
+   and one campaign record per group, inheriting the runner's
+   parallelism and fault tolerance.
 4. **Assembles** each request's campaign from the cell index in grid
    order — bit-identical to a direct ``measure_campaign`` call,
    because cells are independent and the simulator is deterministic —
-   and adopts it into both cache tiers so later direct calls (and
-   warm restarts) hit.
+   and stores each complete one under its key in both cache tiers
+   (:func:`~repro.experiments.platform.store_campaign`) so later
+   direct calls (and warm restarts) hit.
+
+A request's identity is :meth:`CampaignRequest.key`, computed once per
+request: lookup, run and store all use it, so a request without a
+``spec`` is the paper platform whatever the runtime default is.
 
 The cell index is process-global: across any number of plans in one
 process, each unique (benchmark config, platform, n, f) cell is
@@ -32,9 +38,13 @@ import time
 import typing as _t
 
 from repro import runtime
-from repro.cluster.machine import paper_spec
 from repro.core.measurements import TimingCampaign
 from repro.errors import CampaignExecutionError
+from repro.experiments.platform import (
+    lookup_campaign,
+    run_cells,
+    store_campaign,
+)
 from repro.pipeline.artifacts import CampaignArtifact, Provenance
 from repro.pipeline.requests import CampaignRequest
 from repro.pipeline.store import ArtifactStore, campaign_artifact_name
@@ -117,78 +127,21 @@ def _run_batch(
     jobs: int | None,
     fabric: bool | None = None,
 ) -> tuple[int, int]:
-    """Run one group's missing-cell union.
+    """Run one group's missing-cell union and index its cells.
 
-    Returns ``(cells done, cells answered analytically)``.  Reports a
-    ``"simulated"`` campaign record exactly like ``measure_campaign``
-    does for a direct execution, so downstream metrics consumers see
-    one batch per group.
+    Returns ``(cells done, cells answered analytically)``.
     """
-    start = time.perf_counter()
-    group = request.group()
-    benchmark = request.build()
-    node_spec = request.spec if request.spec is not None else paper_spec()
-    try:
-        execution = runtime.execute_cells(
-            benchmark,
-            cells,
-            node_spec,
-            jobs=runtime.resolve_jobs(jobs, len(cells)),
-            retries=runtime.resolve_retries(None),
-            cell_timeout=runtime.resolve_cell_timeout(None),
-            backoff_s=runtime.resolve_retry_backoff(None),
-            allow_partial=runtime.resolve_allow_partial(None),
-            backend=request.key()[6],
-            fabric=fabric,
-        )
-    except CampaignExecutionError as error:
-        runtime.METRICS.record(
-            runtime.CampaignRecord(
-                label=request.label,
-                source="failed",
-                cells=len(cells),
-                wall_s=time.perf_counter() - start,
-                failed_cells=len(error.failures),
-                failures=tuple(
-                    {"cell": list(err.cell), "error": str(err)}
-                    for err in error.failures
-                ),
-            )
-        )
-        raise
-    for cell, seconds in execution.times.items():
-        _CELL_INDEX[(group, cell[0], cell[1])] = (
-            seconds,
-            execution.energies[cell],
-        )
-    cell_attempts = execution.cell_attempts()
-    runtime.METRICS.record(
-        runtime.CampaignRecord(
-            label=request.label,
-            source="simulated",
-            cells=len(cells),
-            wall_s=time.perf_counter() - start,
-            jobs=execution.jobs,
-            analytic_cells=execution.analytic_cells,
-            fabric_cells=execution.fabric_cells,
-            fabric_workers=execution.fabric_workers,
-            fabric_reassignments=execution.fabric_reassignments,
-            cell_wall_s=execution.cell_wall_s,
-            attempts=len(execution.attempts),
-            retries=execution.retry_count,
-            timeouts=execution.timeout_count,
-            crash_recoveries=execution.crash_recoveries,
-            failed_cells=len(execution.failures),
-            cell_attempts=tuple(
-                (n, f, count)
-                for (n, f), count in cell_attempts.items()
-            ),
-            failures=tuple(execution.failure_report()),
-            events_processed=execution.events_processed,
-            processes_spawned=execution.processes_spawned,
-            peak_queue_len=execution.peak_queue_len,
-        )
+    execution = run_cells(
+        request.key(),
+        request.build(),
+        cells,
+        request.spec,
+        jobs=jobs,
+        fabric=fabric,
     )
+    group = request.group()
+    for (n, f), seconds in execution.times.items():
+        _CELL_INDEX[(group, n, f)] = (seconds, execution.energies[(n, f)])
     return len(execution.times), execution.analytic_cells
 
 
@@ -224,12 +177,12 @@ def execute_plan(
         unique.setdefault(request.digest(), request)
     report.unique_campaigns = len(unique)
 
-    # 2. Cache peek; hits seed the cell index for overlapping grids.
+    # 2. Cache lookup; hits seed the cell index for overlapping grids.
     campaigns: dict[str, TimingCampaign] = {}
     sources: dict[str, str] = {}
     missing: dict[str, CampaignRequest] = {}
     for digest, request in unique.items():
-        campaign = platform_peek(request)
+        campaign = lookup_campaign(request.key())
         if campaign is not None:
             campaigns[digest] = campaign
             sources[digest] = "cached"
@@ -351,7 +304,7 @@ def execute_plan(
         if len(times) == len(request.cells()):
             # Complete → warm both cache tiers, exactly as if this
             # campaign had gone through measure_campaign.
-            platform_adopt(request, campaign)
+            store_campaign(request.key(), campaign)
         campaigns[digest] = campaign
         sources[digest] = "planned"
         runtime.METRICS.record(
@@ -388,32 +341,3 @@ def execute_plan(
         report.executed_cells,
     )
     return report
-
-
-def platform_peek(request: CampaignRequest) -> TimingCampaign | None:
-    """Cache-only lookup via the platform's tiers."""
-    from repro.experiments.platform import peek_campaign
-
-    return peek_campaign(
-        request.build(),
-        request.counts,
-        request.frequencies,
-        request.spec,
-        backend=request.key()[6],
-    )
-
-
-def platform_adopt(
-    request: CampaignRequest, campaign: TimingCampaign
-) -> None:
-    """Warm the platform's cache tiers with an assembled campaign."""
-    from repro.experiments.platform import adopt_campaign
-
-    adopt_campaign(
-        request.build(),
-        request.counts,
-        request.frequencies,
-        campaign,
-        request.spec,
-        backend=request.key()[6],
-    )

@@ -35,6 +35,7 @@ from repro.npb import BENCHMARKS, ProblemClass
 from repro.npb.base import BenchmarkModel
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.measurements import TimingCampaign
     from repro.governor import GovernedRun, PowerCap
     from repro.optimizer import OptimizeResult
 
@@ -286,14 +287,14 @@ class CampaignRequest:
             "allow_partial": self.allow_partial,
         }
 
-    def document(self) -> dict[str, _t.Any]:
-        """Measure the grid; times, energies and speed-ups by cell."""
+    def measure(self) -> "TimingCampaign":
+        """Measure the grid through ``measure_campaign`` (cached)."""
         from repro.experiments.platform import measure_campaign
         from repro.platforms import DEFAULT_PLATFORM
 
         # A request without a spec names the paper platform, whatever
         # the runtime default is.
-        campaign = measure_campaign(
+        return measure_campaign(
             self.build(),
             self.counts,
             self.frequencies,
@@ -303,6 +304,10 @@ class CampaignRequest:
             fabric=self.fabric or None,
             allow_partial=self.allow_partial or None,
         )
+
+    def document(self) -> dict[str, _t.Any]:
+        """Measure the grid; times, energies and speed-ups by cell."""
+        campaign = self.measure()
         return {
             "benchmark": self.benchmark,
             "class": self.problem_class.value,

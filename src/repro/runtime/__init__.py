@@ -18,6 +18,16 @@ runtime with four layers:
   fault-injection harness (``REPRO_FAULTS``) that makes the other
   three testable.
 
+There is one campaign path.  :func:`execute_cells` (and
+:func:`execute_campaign`, its full-grid form) only execute, on the
+``ClusterSpec`` they are given.  Cache tiers and campaign records
+belong to three steps on a campaign's cache key in
+:mod:`repro.experiments.platform`: ``lookup_campaign`` (memory, then
+disk), ``run_cells`` (:func:`execute_cells` plus one ``simulated`` or
+``failed`` record) and ``store_campaign`` (both tiers).
+``measure_campaign`` and the experiment planner
+(:mod:`repro.pipeline`) are both built from them.
+
 Configuration resolves in priority order: explicit call argument →
 :func:`configure` (what the CLI's ``--jobs`` / ``--no-disk-cache`` /
 ``--retries`` / ``--cell-timeout`` / ``--allow-partial`` /

@@ -27,7 +27,11 @@ __all__ = [
 
 @dataclasses.dataclass
 class CampaignRecord:
-    """One ``measure_campaign`` call, as observed by the runtime.
+    """One campaign cache hit, execution or plan assembly.
+
+    Written only by the campaign steps in
+    :mod:`repro.experiments.platform` and by the planner's ``planned``
+    record; one ``measure_campaign`` call writes exactly one.
 
     Attributes
     ----------

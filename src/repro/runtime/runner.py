@@ -639,7 +639,7 @@ def execute_campaign(
     benchmark: BenchmarkModel,
     counts: _t.Sequence[int],
     frequencies: _t.Sequence[float],
-    spec: ClusterSpec | None = None,
+    spec: ClusterSpec,
     jobs: int = 1,
     *,
     retries: int = DEFAULT_RETRIES,
@@ -648,7 +648,6 @@ def execute_campaign(
     allow_partial: bool = False,
     backend: str | None = None,
     fabric: bool | None = None,
-    platform: str | None = None,
 ) -> CampaignExecution:
     """Simulate every grid cell with retries, timeouts and recovery.
 
@@ -673,9 +672,6 @@ def execute_campaign(
     (``None`` resolves through :func:`repro.runtime.resolve_backend`);
     ``fabric`` offers the cells to the distributed worker fleet first
     (``None`` resolves through :func:`repro.runtime.resolve_fabric`).
-    With ``spec=None`` the platform resolves by name instead —
-    ``platform`` → :func:`repro.runtime.resolve_platform` →
-    ``REPRO_PLATFORM`` → the paper cluster.
     """
     cells = [(int(n), float(f)) for n in counts for f in frequencies]
     return execute_cells(
@@ -689,14 +685,13 @@ def execute_campaign(
         allow_partial=allow_partial,
         backend=backend,
         fabric=fabric,
-        platform=platform,
     )
 
 
 def execute_cells(
     benchmark: BenchmarkModel,
     cells: _t.Sequence[Cell],
-    spec: ClusterSpec | None = None,
+    spec: ClusterSpec,
     jobs: int = 1,
     *,
     retries: int = DEFAULT_RETRIES,
@@ -705,7 +700,6 @@ def execute_cells(
     allow_partial: bool = False,
     backend: str | None = None,
     fabric: bool | None = None,
-    platform: str | None = None,
 ) -> CampaignExecution:
     """Simulate an explicit cell list (not necessarily a full grid).
 
@@ -741,14 +735,6 @@ def execute_cells(
     """
     from repro import runtime as _runtime
 
-    if spec is None:
-        from repro.platforms import get_platform
-
-        spec = get_platform(_runtime.resolve_platform(platform))
-    elif platform is not None:
-        raise ConfigurationError(
-            f"pass either spec= or platform={platform!r}, not both"
-        )
     backend = _runtime.resolve_backend(backend)
     fabric = _runtime.resolve_fabric(fabric)
     cells = [(int(n), float(f)) for n, f in cells]

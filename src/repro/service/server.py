@@ -850,27 +850,20 @@ class ReproService:
         (runs on the executor; hits the campaign caches when warm)."""
         from repro.core.energy import EnergyModel
         from repro.core.params_sp import SimplifiedParameterization
-        from repro.experiments.platform import (
-            PAPER_COUNTS,
-            PAPER_FREQUENCIES,
-            measure_campaign,
-        )
-        from repro.platforms import DEFAULT_PLATFORM, get_platform
+        from repro.experiments.platform import PAPER_COUNTS, measure_campaign
+        from repro.platforms import get_platform
 
         bench = _build_benchmark(name, cls)
         counts = _MODEL_COUNTS.get(name, PAPER_COUNTS)
         spec = get_platform(platform)
-        if platform == DEFAULT_PLATFORM:
-            # Identical call to the pre-registry code: same digest,
-            # same cached campaigns.
-            campaign = measure_campaign(bench, counts, PAPER_FREQUENCIES)
-        else:
-            campaign = measure_campaign(
-                bench,
-                tuple(n for n in counts if n <= spec.n_nodes),
-                spec.common_frequencies(),
-                spec=spec,
-            )
+        # The paper's common frequencies are PAPER_FREQUENCIES, so its
+        # bundles keep their pre-registry cache keys.
+        campaign = measure_campaign(
+            bench,
+            tuple(n for n in counts if n <= spec.n_nodes),
+            spec.common_frequencies(),
+            platform=platform,
+        )
         # Heterogeneous specs mirror group 0 at the top level; the
         # bundle's energy model prices the reference group.
         return coalesce.PredictorBundle(
