@@ -9,9 +9,11 @@ to its results and reloaded later::
     blob = json.dumps(spec_to_dict(paper_spec()))
     spec = spec_from_dict(json.loads(blob))
 
-Every numeric knob of every component spec is covered; unknown keys are
-rejected loudly (a typo in a stored config should never silently fall
-back to a default).
+Every knob of every component spec is covered, including node groups
+and the memory wall; unknown keys are rejected loudly (a typo in a
+stored config should never silently fall back to a default).  Keys
+added later (``groups``, ``shared_cores``, ``contention``) are
+optional on read, so documents written before them still load.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import typing as _t
 
 from repro.cluster.cpu import CpuSpec
-from repro.cluster.machine import ClusterSpec
+from repro.cluster.machine import ClusterSpec, NodeGroupSpec
 from repro.cluster.memory import MemorySpec
 from repro.cluster.network import NetworkSpec
 from repro.cluster.nic import NicSpec
@@ -50,45 +52,61 @@ def _opoints_to_dict(table: OperatingPointTable) -> list[dict]:
     ]
 
 
+def _cpu_to_dict(cpu: CpuSpec) -> dict:
+    return {
+        "operating_points": _opoints_to_dict(cpu.operating_points),
+        "cpi_cpu": cpu.cpi_cpu,
+        "cpi_l1": cpu.cpi_l1,
+        "cpi_l2": cpu.cpi_l2,
+        "dvfs_transition_s": cpu.dvfs_transition_s,
+    }
+
+
+def _memory_to_dict(memory: MemorySpec) -> dict:
+    return {
+        "l1_bytes": memory.l1_bytes,
+        "l2_bytes": memory.l2_bytes,
+        "ram_bytes": memory.ram_bytes,
+        "off_chip_ns": memory.off_chip_ns,
+        "off_chip_ns_overrides": {
+            str(f): lat for f, lat in memory.off_chip_ns_overrides.items()
+        },
+        "shared_cores": memory.shared_cores,
+        "contention": memory.contention,
+    }
+
+
+def _power_to_dict(power: PowerSpec) -> dict:
+    return {
+        "cpu_dynamic_max_w": power.cpu_dynamic_max_w,
+        "cpu_static_max_w": power.cpu_static_max_w,
+        "system_base_w": power.system_base_w,
+        "activity": {
+            state.value: factor for state, factor in power.activity.items()
+        },
+        "peak": {
+            "frequency_hz": power.peak.frequency_hz,
+            "voltage_v": power.peak.voltage_v,
+        },
+    }
+
+
+def _nic_to_dict(nic: NicSpec) -> dict:
+    return {
+        "per_message_overhead_s": nic.per_message_overhead_s,
+        "cycles_per_byte": nic.cycles_per_byte,
+        "eager_threshold_bytes": nic.eager_threshold_bytes,
+    }
+
+
 def spec_to_dict(spec: ClusterSpec) -> dict:
     """Serialize a :class:`ClusterSpec` to a JSON-able dict."""
     return {
         "n_nodes": spec.n_nodes,
-        "cpu": {
-            "operating_points": _opoints_to_dict(spec.cpu.operating_points),
-            "cpi_cpu": spec.cpu.cpi_cpu,
-            "cpi_l1": spec.cpu.cpi_l1,
-            "cpi_l2": spec.cpu.cpi_l2,
-            "dvfs_transition_s": spec.cpu.dvfs_transition_s,
-        },
-        "memory": {
-            "l1_bytes": spec.memory.l1_bytes,
-            "l2_bytes": spec.memory.l2_bytes,
-            "ram_bytes": spec.memory.ram_bytes,
-            "off_chip_ns": spec.memory.off_chip_ns,
-            "off_chip_ns_overrides": {
-                str(f): lat
-                for f, lat in spec.memory.off_chip_ns_overrides.items()
-            },
-        },
-        "power": {
-            "cpu_dynamic_max_w": spec.power.cpu_dynamic_max_w,
-            "cpu_static_max_w": spec.power.cpu_static_max_w,
-            "system_base_w": spec.power.system_base_w,
-            "activity": {
-                state.value: factor
-                for state, factor in spec.power.activity.items()
-            },
-            "peak": {
-                "frequency_hz": spec.power.peak.frequency_hz,
-                "voltage_v": spec.power.peak.voltage_v,
-            },
-        },
-        "nic": {
-            "per_message_overhead_s": spec.nic.per_message_overhead_s,
-            "cycles_per_byte": spec.nic.cycles_per_byte,
-            "eager_threshold_bytes": spec.nic.eager_threshold_bytes,
-        },
+        "cpu": _cpu_to_dict(spec.cpu),
+        "memory": _memory_to_dict(spec.memory),
+        "power": _power_to_dict(spec.power),
+        "nic": _nic_to_dict(spec.nic),
         "network": {
             "line_rate_bytes_per_s": spec.network.line_rate_bytes_per_s,
             "efficiency": spec.network.efficiency,
@@ -97,6 +115,17 @@ def spec_to_dict(spec: ClusterSpec) -> dict:
             "congestion_coeff": spec.network.congestion_coeff,
             "congestion_exponent": spec.network.congestion_exponent,
         },
+        "groups": [
+            {
+                "count": group.count,
+                "name": group.name,
+                "cpu": _cpu_to_dict(group.cpu),
+                "memory": _memory_to_dict(group.memory),
+                "power": _power_to_dict(group.power),
+                "nic": _nic_to_dict(group.nic),
+            }
+            for group in spec.groups
+        ],
     }
 
 
@@ -137,7 +166,7 @@ def _memory_from_dict(data: _t.Mapping) -> MemorySpec:
     _check_keys(
         data,
         {"l1_bytes", "l2_bytes", "ram_bytes", "off_chip_ns",
-         "off_chip_ns_overrides"},
+         "off_chip_ns_overrides", "shared_cores", "contention"},
         "memory",
     )
     return MemorySpec(
@@ -149,6 +178,8 @@ def _memory_from_dict(data: _t.Mapping) -> MemorySpec:
             float(f): float(lat)
             for f, lat in data["off_chip_ns_overrides"].items()
         },
+        shared_cores=int(data.get("shared_cores", 1)),
+        contention=float(data.get("contention", 0.0)),
     )
 
 
@@ -206,11 +237,25 @@ def _network_from_dict(data: _t.Mapping) -> NetworkSpec:
     )
 
 
+def _group_from_dict(data: _t.Mapping) -> NodeGroupSpec:
+    _check_keys(
+        data, {"count", "name", "cpu", "memory", "power", "nic"}, "group"
+    )
+    return NodeGroupSpec(
+        count=int(data["count"]),
+        name=str(data["name"]),
+        cpu=_cpu_from_dict(data["cpu"]),
+        memory=_memory_from_dict(data["memory"]),
+        power=_power_from_dict(data["power"]),
+        nic=_nic_from_dict(data["nic"]),
+    )
+
+
 def spec_from_dict(data: _t.Mapping) -> ClusterSpec:
     """Rebuild a :class:`ClusterSpec` from :func:`spec_to_dict` output."""
     _check_keys(
         data,
-        {"n_nodes", "cpu", "memory", "power", "nic", "network"},
+        {"n_nodes", "cpu", "memory", "power", "nic", "network", "groups"},
         "cluster",
     )
     return ClusterSpec(
@@ -220,4 +265,5 @@ def spec_from_dict(data: _t.Mapping) -> ClusterSpec:
         power=_power_from_dict(data["power"]),
         nic=_nic_from_dict(data["nic"]),
         network=_network_from_dict(data["network"]),
+        groups=tuple(_group_from_dict(g) for g in data.get("groups", ())),
     )

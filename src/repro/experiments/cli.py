@@ -112,7 +112,9 @@ def _comma_list(kind: _t.Callable[[str], _t.Any]) -> _t.Callable:
 
 
 def _configure_runtime(args: argparse.Namespace) -> None:
-    """Apply the runtime flags (jobs, cache, platform, fault tolerance)."""
+    """Apply the runtime flags (jobs, cache, platform, fault tolerance)
+    and resolve the settings once: a bad flag or ``REPRO_*`` value is
+    a usage error (exit 2)."""
     from repro import runtime
     from repro.errors import ConfigurationError
 
@@ -122,25 +124,20 @@ def _configure_runtime(args: argparse.Namespace) -> None:
         # simulation hot loop from the profiler.
         jobs = 1
     try:
-        _apply_runtime(runtime, args, jobs)
+        runtime.configure(
+            jobs=jobs,
+            disk_cache=False if args.no_disk_cache else None,
+            retries=args.retries,
+            cell_timeout=args.cell_timeout,
+            allow_partial=True if args.allow_partial else None,
+            backend=getattr(args, "backend", None),
+            fabric=True if getattr(args, "fabric", False) else None,
+            platform=getattr(args, "platform", None),
+        )
+        runtime.settings()
     except ConfigurationError as exc:
         print(str(exc), file=sys.stderr)
         raise SystemExit(2)
-
-
-def _apply_runtime(
-    runtime: _t.Any, args: argparse.Namespace, jobs: int | None
-) -> None:
-    runtime.configure(
-        jobs=jobs,
-        disk_cache=False if args.no_disk_cache else None,
-        retries=args.retries,
-        cell_timeout=args.cell_timeout,
-        allow_partial=True if args.allow_partial else None,
-        backend=getattr(args, "backend", None),
-        fabric=True if getattr(args, "fabric", False) else None,
-        platform=getattr(args, "platform", None),
-    )
 
 
 def _print_runtime_stats() -> None:
@@ -490,30 +487,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return serve_from_args(args)
 
 
-def _cmd_worker(args: argparse.Namespace) -> int:
-    from repro.fabric.worker import FabricWorker, resolve_worker_procs
-
-    worker = FabricWorker(
-        args.host,
-        args.port,
-        name=args.name,
-        max_idle_s=args.max_idle_s,
-        procs=resolve_worker_procs(args.procs),
-        stall_timeout_s=args.stall_timeout_s,
-    )
-    try:
-        done = worker.run()
-    except KeyboardInterrupt:
-        worker.stop()
-        done = worker.cells_done
-    print(
-        f"repro-worker {worker.name}: {done} cells completed "
-        f"({worker.leases_taken} leases, {worker.procs} procs, "
-        f"{worker.reconnects} reconnects)"
-    )
-    return 0
-
-
 def main(argv: _t.Sequence[str] | None = None) -> int:
     """Entry point for the ``repro-experiments`` console script."""
     from repro import __version__
@@ -817,33 +790,10 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         "worker",
         help="join a running service's campaign fabric as a worker",
     )
-    p_worker.add_argument("--host", default="127.0.0.1")
-    p_worker.add_argument("--port", type=int, default=8642)
-    p_worker.add_argument(
-        "--name", default="", help="worker name shown in /metrics"
-    )
-    p_worker.add_argument(
-        "--max-idle-s",
-        type=float,
-        default=None,
-        help="exit after this long with no leasable work "
-        "(default: run until drained)",
-    )
-    p_worker.add_argument(
-        "--procs",
-        type=int,
-        default=None,
-        help="local simulation processes (default: "
-        "REPRO_WORKER_PROCS or os.cpu_count())",
-    )
-    p_worker.add_argument(
-        "--stall-timeout-s",
-        type=float,
-        default=None,
-        help="declare a pool round hung after this long without a "
-        "completion (default: disabled)",
-    )
-    p_worker.set_defaults(func=_cmd_worker)
+    from repro.fabric.worker import add_worker_arguments, worker_from_args
+
+    add_worker_arguments(p_worker)
+    p_worker.set_defaults(func=worker_from_args)
 
     args = parser.parse_args(argv)
     if getattr(args, "profile", False):

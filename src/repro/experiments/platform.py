@@ -68,15 +68,16 @@ def _default_spec_digest() -> str:
 
 
 def _resolve_spec(
-    spec: ClusterSpec | None, platform: str | None
+    spec: ClusterSpec | None,
+    platform: str | None,
+    settings: runtime.Settings,
 ) -> ClusterSpec | None:
     """Resolve the (spec, platform) pair every entry point accepts.
 
     An explicit ``spec`` wins (and excludes ``platform``); otherwise
-    the named platform resolves through the runtime ladder (explicit →
-    :func:`repro.runtime.configure` → ``REPRO_PLATFORM`` → paper).
-    The paper platform resolves to ``None`` so its campaigns keep
-    their pre-registry cache keys.
+    ``settings.platform`` names the platform.  The paper platform
+    resolves to ``None`` so its campaigns keep their pre-registry
+    cache keys.
     """
     if spec is not None:
         if platform is not None:
@@ -86,27 +87,27 @@ def _resolve_spec(
         return spec
     from repro.platforms import DEFAULT_PLATFORM, get_platform
 
-    name = runtime.resolve_platform(platform)
-    if name == DEFAULT_PLATFORM:
+    if settings.platform == DEFAULT_PLATFORM:
         return None
-    return get_platform(name)
+    return get_platform(settings.platform)
 
 
 def _cache_key(
     benchmark: BenchmarkModel,
     counts: _t.Sequence[int],
     frequencies: _t.Sequence[float],
-    spec: ClusterSpec | None = None,
-    backend: str | None = None,
+    spec: ClusterSpec | None,
+    backend: str,
 ) -> tuple:
     """Campaign identity, including platform and benchmark digests.
 
     ``spec=None`` (the paper platform) and an explicitly-passed
     ``paper_spec()`` hash identically, so they share cache entries.
     The benchmark digest covers configuration beyond (name, class) —
-    e.g. FT's ``decomposition`` option.  The resolved backend is part
-    of the identity: analytic and DES results agree only to documented
-    tolerances, so their campaigns never share cache entries.
+    e.g. FT's ``decomposition`` option.  The resolved ``backend`` is
+    part of the identity: analytic and DES results agree only to
+    documented tolerances, so their campaigns never share cache
+    entries.
     """
     return (
         benchmark.name,
@@ -119,7 +120,7 @@ def _cache_key(
             else _default_spec_digest()
         ),
         runtime.benchmark_digest(benchmark),
-        runtime.resolve_backend(backend),
+        backend,
     )
 
 
@@ -129,7 +130,7 @@ def _label(key: tuple) -> str:
 
 
 def lookup_campaign(
-    key: tuple, *, disk_cache: bool | None = None
+    key: tuple, settings: runtime.Settings
 ) -> TimingCampaign | None:
     """The cached campaign under ``key``, or ``None`` — never simulates.
 
@@ -141,9 +142,11 @@ def lookup_campaign(
     source = "memory"
     campaign = _CACHE.get(key)
     if campaign is None:
-        if not runtime.disk_cache_enabled(disk_cache):
+        if not settings.disk_cache:
             return None
-        campaign = runtime.disk_cache().get(runtime.campaign_digest(*key))
+        campaign = runtime.disk_cache(settings).get(
+            runtime.campaign_digest(*key)
+        )
         if campaign is None:
             return None
         _CACHE[key] = campaign
@@ -164,17 +167,13 @@ def run_cells(
     benchmark: BenchmarkModel,
     cells: _t.Sequence[tuple[int, float]],
     spec: ClusterSpec | None,
-    *,
-    jobs: int | None = None,
-    retries: int | None = None,
-    cell_timeout: float | None = None,
-    allow_partial: bool | None = None,
-    fabric: bool | None = None,
+    settings: runtime.Settings,
 ) -> runtime.CampaignExecution:
     """Execute ``cells`` of the campaign under ``key``.
 
     Runs :func:`repro.runtime.execute_cells` on ``spec`` (``None`` is
-    the paper cluster) with the key's backend, then writes one
+    the paper cluster) with the key's backend and the parallelism,
+    fault-tolerance and fabric of ``settings``, then writes one
     ``simulated`` campaign record — or one ``failed`` record before
     re-raising :class:`~repro.errors.CampaignExecutionError`.
     """
@@ -185,13 +184,13 @@ def run_cells(
             benchmark,
             cells,
             spec if spec is not None else paper_spec(),
-            jobs=runtime.resolve_jobs(jobs, len(cells)),
-            retries=runtime.resolve_retries(retries),
-            cell_timeout=runtime.resolve_cell_timeout(cell_timeout),
-            backoff_s=runtime.resolve_retry_backoff(),
-            allow_partial=runtime.resolve_allow_partial(allow_partial),
+            jobs=settings.jobs_for(len(cells)),
+            retries=settings.retries,
+            cell_timeout=settings.cell_timeout,
+            backoff_s=settings.retry_backoff_s,
+            allow_partial=settings.allow_partial,
             backend=key[6],
-            fabric=fabric,
+            fabric=settings.fabric,
         )
     except CampaignExecutionError as error:
         runtime.METRICS.record(
@@ -239,12 +238,14 @@ def run_cells(
 
 
 def store_campaign(
-    key: tuple, campaign: TimingCampaign, *, disk_cache: bool | None = None
+    key: tuple, campaign: TimingCampaign, settings: runtime.Settings
 ) -> None:
     """Write a complete campaign to both cache tiers under ``key``."""
     _CACHE[key] = campaign
-    if runtime.disk_cache_enabled(disk_cache):
-        runtime.disk_cache().put(runtime.campaign_digest(*key), campaign)
+    if settings.disk_cache:
+        runtime.disk_cache(settings).put(
+            runtime.campaign_digest(*key), campaign
+        )
 
 
 def measure_campaign(
@@ -273,7 +274,7 @@ def measure_campaign(
     ``spec`` overrides the platform (ablations measure on modified
     hardware); such campaigns are cached under a spec-digest key.
     ``jobs`` sets the worker-process count (default: auto — see
-    :func:`repro.runtime.resolve_jobs`); parallel runs are
+    :meth:`repro.settings.Settings.jobs_for`); parallel runs are
     bit-identical to serial ones.  ``disk_cache`` overrides the
     on-disk tier for this call; ``use_cache=False`` bypasses (and
     does not populate) both tiers.
@@ -301,13 +302,25 @@ def measure_campaign(
     results are bit-identical to local ones.
 
     ``platform`` names a registered platform (:mod:`repro.platforms`)
-    as an alternative to ``spec``; ``None`` resolves the configured
-    default (``REPRO_PLATFORM`` or the paper cluster).
+    as an alternative to ``spec``.
+
+    Every runtime keyword left at ``None`` resolves once, through
+    :func:`repro.settings.settings`.
     """
-    spec = _resolve_spec(spec, platform)
-    key = _cache_key(benchmark, counts, frequencies, spec, backend)
+    settings = runtime.settings(
+        jobs=jobs,
+        disk_cache=disk_cache,
+        retries=retries,
+        cell_timeout=cell_timeout,
+        allow_partial=allow_partial,
+        backend=backend,
+        fabric=fabric,
+        platform=platform,
+    )
+    spec = _resolve_spec(spec, platform, settings)
+    key = _cache_key(benchmark, counts, frequencies, spec, settings.backend)
     if use_cache:
-        campaign = lookup_campaign(key, disk_cache=disk_cache)
+        campaign = lookup_campaign(key, settings)
         if campaign is not None:
             return campaign
     execution = run_cells(
@@ -315,11 +328,7 @@ def measure_campaign(
         benchmark,
         [(n, f) for n in key[2] for f in key[3]],
         spec,
-        jobs=jobs,
-        retries=retries,
-        cell_timeout=cell_timeout,
-        allow_partial=allow_partial,
-        fabric=fabric,
+        settings,
     )
     campaign = TimingCampaign(
         times=execution.times,
@@ -328,7 +337,7 @@ def measure_campaign(
         label=_label(key),
     )
     if use_cache and not execution.failures:
-        store_campaign(key, campaign, disk_cache=disk_cache)
+        store_campaign(key, campaign, settings)
     return campaign
 
 
@@ -344,10 +353,12 @@ def peek_campaign(
 ) -> TimingCampaign | None:
     """Cache-only :func:`measure_campaign`: :func:`lookup_campaign` on
     the same key, ``None`` on a full miss."""
-    key = _cache_key(
-        benchmark, counts, frequencies, _resolve_spec(spec, platform), backend
+    settings = runtime.settings(
+        disk_cache=disk_cache, backend=backend, platform=platform
     )
-    return lookup_campaign(key, disk_cache=disk_cache)
+    spec = _resolve_spec(spec, platform, settings)
+    key = _cache_key(benchmark, counts, frequencies, spec, settings.backend)
+    return lookup_campaign(key, settings)
 
 
 def clear_campaign_cache() -> None:
@@ -360,5 +371,6 @@ def clear_campaign_cache() -> None:
     off.
     """
     _CACHE.clear()
-    if runtime.disk_cache_enabled(None) or runtime.cache_dir().exists():
-        runtime.disk_cache().clear()
+    settings = runtime.settings()
+    if settings.disk_cache or settings.cache_dir.exists():
+        runtime.disk_cache(settings).clear()

@@ -49,37 +49,28 @@ import concurrent.futures
 import multiprocessing
 import os
 import pickle
+import sys
 import threading
 import time
 import typing as _t
 
+from repro.errors import ConfigurationError
 from repro.fabric.coordinator import result_checksum
 from repro.runtime import faults
 from repro.runtime.runner import _simulate_cell
 from repro.service.client import ServiceClient, ServiceError
+from repro.settings import settings
 
-__all__ = ["FabricWorker", "main", "resolve_worker_procs"]
+__all__ = [
+    "FabricWorker",
+    "add_worker_arguments",
+    "main",
+    "worker_from_args",
+]
 
 #: Pool-crash rebuild rounds before a lease falls back to in-process
 #: serial simulation (mirrors the local runner's fruitless-crash cap).
 _MAX_POOL_REBUILDS = 2
-
-
-def resolve_worker_procs(explicit: int | None = None) -> int:
-    """Local simulation processes per worker.
-
-    Precedence: explicit ``--procs`` > ``REPRO_WORKER_PROCS`` >
-    ``os.cpu_count()``.
-    """
-    if explicit is not None:
-        return max(1, int(explicit))
-    raw = os.environ.get("REPRO_WORKER_PROCS", "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return max(1, os.cpu_count() or 1)
 
 
 class _WorkerKilled(Exception):
@@ -113,8 +104,8 @@ class FabricWorker:
         self.max_idle_s = max_idle_s
         self._plan = plan
         # procs defaults to 1 here (in-thread test fleets stay
-        # serial); the CLI resolves env/cpu_count via
-        # resolve_worker_procs before constructing.
+        # serial); the CLI resolves --procs, REPRO_WORKER_PROCS or
+        # the CPU count before constructing.
         self.procs = max(1, int(procs or 1))
         self.stall_timeout_s = (
             float(stall_timeout_s)
@@ -681,16 +672,9 @@ class FabricWorker:
         self._ship(lease_id, batch_id, wave, [])
 
 
-def main(argv: _t.Sequence[str] | None = None) -> int:
-    """Console entry point: ``repro-worker`` / ``python -m repro worker``."""
-    parser = argparse.ArgumentParser(
-        prog="repro-worker",
-        description=(
-            "Join a repro-serve campaign fabric as a worker: lease "
-            "grid cells, simulate them across a local process pool, "
-            "stream results back."
-        ),
-    )
+def add_worker_arguments(parser: argparse.ArgumentParser) -> None:
+    """Install the worker flags on a parser (shared between the
+    ``repro-worker`` script and ``repro-experiments worker``)."""
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8642)
     parser.add_argument(
@@ -717,22 +701,50 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
         help="declare a pool round hung after this long without a "
         "completion (default: disabled)",
     )
-    args = parser.parse_args(argv)
+
+
+def worker_from_args(args: argparse.Namespace) -> int:
+    """Run a worker from parsed CLI arguments until it drains, goes
+    idle or gets Ctrl-C, then print its summary.  A bad setting is a
+    usage error (exit 2)."""
+    try:
+        procs = settings(worker_procs=args.procs).worker_procs
+    except ConfigurationError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     worker = FabricWorker(
         args.host,
         args.port,
         name=args.name,
         max_idle_s=args.max_idle_s,
-        procs=resolve_worker_procs(args.procs),
+        procs=procs,
         stall_timeout_s=args.stall_timeout_s,
     )
-    done = worker.run()
+    try:
+        done = worker.run()
+    except KeyboardInterrupt:
+        worker.stop()
+        done = worker.cells_done
     print(
         f"repro-worker {worker.name}: {done} cells completed "
         f"({worker.leases_taken} leases, {worker.procs} procs, "
         f"{worker.reconnects} reconnects)"
     )
     return 0
+
+
+def main(argv: _t.Sequence[str] | None = None) -> int:
+    """Console entry point: ``repro-worker`` / ``python -m repro worker``."""
+    parser = argparse.ArgumentParser(
+        prog="repro-worker",
+        description=(
+            "Join a repro-serve campaign fabric as a worker: lease "
+            "grid cells, simulate them across a local process pool, "
+            "stream results back."
+        ),
+    )
+    add_worker_arguments(parser)
+    return worker_from_args(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

@@ -25,9 +25,6 @@ from repro.governor.loop import (
     DEFAULT_POLICY,
     GovernedRun,
     govern_run,
-    resolve_epoch_phases,
-    resolve_policy_name,
-    resolve_safety,
 )
 from repro.governor.policies import (
     DEFAULT_SAFETY,
@@ -63,9 +60,6 @@ __all__ = [
     "build_policy",
     "GovernedRun",
     "govern_run",
-    "resolve_epoch_phases",
-    "resolve_policy_name",
-    "resolve_safety",
     "DEFAULT_EPOCH_PHASES",
     "DEFAULT_POLICY",
     "DEFAULT_SAFETY",

@@ -21,24 +21,19 @@ Every run yields a :class:`GovernedRun` wrapping the raw
 :class:`~repro.mpi.program.RunResult` and the sealed, deterministic
 :class:`~repro.governor.trace.DecisionTrace`.
 
-Environment knobs (all overridable per call):
-
-* ``REPRO_GOVERNOR_EPOCH`` — phases per epoch (default 4);
-* ``REPRO_GOVERNOR_POLICY`` — default policy name;
-* ``REPRO_GOVERNOR_SAFETY`` — slack-reclamation safety factor.
+Policy, epoch length, safety factor and platform left unset per call
+resolve once per run through :func:`repro.settings.settings`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import typing as _t
 
 from repro.cluster.machine import Cluster
 from repro.errors import ConfigurationError
 from repro.governor.caps import PowerCap
 from repro.governor.policies import (
-    DEFAULT_SAFETY,
     GovernorContext,
     GovernorDecision,
     GovernorPolicy,
@@ -48,6 +43,7 @@ from repro.governor.telemetry import EpochSensor, PhaseObservation
 from repro.governor.trace import DecisionTrace, EpochDecision
 from repro.mpi.program import RunResult, run_program
 from repro.proftools.profiler import normalize_label
+from repro.settings import Settings, settings
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.machine import ClusterSpec
@@ -56,71 +52,16 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "GovernedRun",
     "govern_run",
-    "resolve_epoch_phases",
-    "resolve_policy_name",
-    "resolve_safety",
     "DEFAULT_EPOCH_PHASES",
     "DEFAULT_POLICY",
 ]
 
 #: Phases folded into one governor epoch by default (aligned with the
 #: four-phase iteration structure of the FT and LU models).
-DEFAULT_EPOCH_PHASES = 4
+DEFAULT_EPOCH_PHASES = Settings.governor_epoch
 
 #: Policy used when neither the call nor the environment names one.
-DEFAULT_POLICY = "model_predictive"
-
-
-def _env_positive_int(name: str, default: int) -> int:
-    raw = os.environ.get(name)
-    if raw is None:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ConfigurationError(f"{name} must be an integer, got {raw!r}")
-    if value <= 0:
-        raise ConfigurationError(f"{name} must be positive, got {value}")
-    return value
-
-
-def resolve_epoch_phases(explicit: int | None = None) -> int:
-    """Phases per epoch: explicit arg, else ``REPRO_GOVERNOR_EPOCH``."""
-    if explicit is not None:
-        if explicit <= 0:
-            raise ConfigurationError(
-                f"epoch_phases must be positive, got {explicit}"
-            )
-        return int(explicit)
-    return _env_positive_int("REPRO_GOVERNOR_EPOCH", DEFAULT_EPOCH_PHASES)
-
-
-def resolve_policy_name(explicit: str | None = None) -> str:
-    """Policy name: explicit arg, else ``REPRO_GOVERNOR_POLICY``."""
-    if explicit is not None:
-        return explicit
-    return os.environ.get("REPRO_GOVERNOR_POLICY", DEFAULT_POLICY)
-
-
-def resolve_safety(explicit: float | None = None) -> float:
-    """Safety factor: explicit arg, else ``REPRO_GOVERNOR_SAFETY``."""
-    if explicit is not None:
-        value = float(explicit)
-    else:
-        raw = os.environ.get("REPRO_GOVERNOR_SAFETY")
-        if raw is None:
-            return DEFAULT_SAFETY
-        try:
-            value = float(raw)
-        except ValueError:
-            raise ConfigurationError(
-                f"REPRO_GOVERNOR_SAFETY must be a float, got {raw!r}"
-            )
-    if not 0.0 <= value <= 1.0:
-        raise ConfigurationError(
-            f"governor safety must be in [0, 1], got {value}"
-        )
-    return value
+DEFAULT_POLICY = Settings.governor_policy
 
 
 @dataclasses.dataclass(frozen=True)
@@ -241,9 +182,10 @@ def govern_run(
 
     ``policy`` may be a registry name (see
     :data:`repro.governor.policies.POLICIES`), a policy instance, or
-    ``None`` to resolve from the environment.  ``cap`` defaults to
+    ``None`` for the configured default.  ``cap`` defaults to
     uncapped.  ``platform`` names a registered platform as an
-    alternative to ``spec`` (``None`` resolves the runtime default);
+    alternative to ``spec``; settings left at ``None`` resolve once
+    through :func:`repro.settings.settings`;
     the governor's legal frequency set is then the cap-filtered
     *cluster-wide common* frequencies of the platform's node groups.
     The run is fully deterministic for a given argument tuple;
@@ -251,16 +193,21 @@ def govern_run(
     """
     benchmark.check_ranks(n_ranks)
     cap = cap or PowerCap()
-    safety = resolve_safety(safety)
-    epoch_phases = resolve_epoch_phases(epoch_phases)
+    resolved = settings(
+        governor_policy=policy if isinstance(policy, str) else None,
+        governor_epoch=epoch_phases,
+        governor_safety=safety,
+        platform=platform,
+    )
+    safety = resolved.governor_safety
+    epoch_phases = resolved.governor_epoch
     if isinstance(policy, str) or policy is None:
-        policy = build_policy(resolve_policy_name(policy), safety=safety)
+        policy = build_policy(resolved.governor_policy, safety=safety)
 
     if spec is None:
-        from repro import runtime
         from repro.platforms import get_platform
 
-        spec = get_platform(runtime.resolve_platform(platform))
+        spec = get_platform(resolved.platform)
     elif platform is not None:
         raise ConfigurationError(
             f"pass either spec= or platform={platform!r}, not both"

@@ -40,6 +40,7 @@ from repro.cluster.power import PowerState
 from repro.errors import ConfigurationError
 from repro.governor.caps import PowerCap
 from repro.governor.telemetry import PhaseObservation
+from repro.settings import Settings
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.npb.base import BenchmarkModel
@@ -57,7 +58,7 @@ __all__ = [
 ]
 
 #: Default fraction of observed slack the online policies dare reclaim.
-DEFAULT_SAFETY = 0.9
+DEFAULT_SAFETY = Settings.governor_safety
 
 #: Relative EDP improvement a frequency switch must promise before the
 #: model-predictive policy abandons its current point.

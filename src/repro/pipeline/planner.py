@@ -123,21 +123,14 @@ def _index_campaign(request: CampaignRequest, campaign: TimingCampaign) -> None:
 def _run_batch(
     request: CampaignRequest,
     cells: _t.Sequence[tuple[int, float]],
-    *,
-    jobs: int | None,
-    fabric: bool | None = None,
+    settings: runtime.Settings,
 ) -> tuple[int, int]:
     """Run one group's missing-cell union and index its cells.
 
     Returns ``(cells done, cells answered analytically)``.
     """
     execution = run_cells(
-        request.key(),
-        request.build(),
-        cells,
-        request.spec,
-        jobs=jobs,
-        fabric=fabric,
+        request.key(), request.build(), cells, request.spec, settings
     )
     group = request.group()
     for (n, f), seconds in execution.times.items():
@@ -165,9 +158,11 @@ def execute_plan(
     default; no live fleet falls back to the local pool per batch).
     With a live fleet, up to ``REPRO_PLAN_WINDOW`` (default 4) group
     batches are kept in flight on the coordinator concurrently so the
-    fleet never drains between groups.
+    fleet never drains between groups.  ``jobs``, ``fabric`` and the
+    window resolve once per plan (:func:`repro.settings.settings`).
     """
     start = time.perf_counter()
+    settings = runtime.settings(jobs=jobs, fabric=fabric)
     report = PlanReport(requested_campaigns=len(requests))
     report.planned_cells = sum(len(r.cells()) for r in requests)
 
@@ -182,7 +177,7 @@ def execute_plan(
     sources: dict[str, str] = {}
     missing: dict[str, CampaignRequest] = {}
     for digest, request in unique.items():
-        campaign = lookup_campaign(request.key())
+        campaign = lookup_campaign(request.key(), settings)
         if campaign is not None:
             campaigns[digest] = campaign
             sources[digest] = "cached"
@@ -216,13 +211,9 @@ def execute_plan(
     # in-flight group still produces its own CampaignRecord, and
     # per-group assembly below stays in plan order (bit-identical
     # merge).  Without a fleet, dispatch stays strictly sequential.
-    window = runtime.resolve_plan_window(None)
+    window = settings.plan_window
     live_fleet = False
-    if (
-        runtime.resolve_fabric(fabric)
-        and window > 1
-        and len(group_batches) > 1
-    ):
+    if settings.fabric and window > 1 and len(group_batches) > 1:
         from repro.fabric import active_coordinator
 
         coordinator = active_coordinator()
@@ -241,17 +232,12 @@ def execute_plan(
         # Cells a degrading fleet strands run locally *inside* a
         # dispatch thread — force that fallback serial (jobs=1) so
         # concurrent groups never fight over the shared local pool.
+        serial = dataclasses.replace(settings, jobs=1)
         with concurrent.futures.ThreadPoolExecutor(
             max_workers=window, thread_name_prefix="plan-dispatch"
         ) as pool:
             futures = {
-                pool.submit(
-                    _run_batch,
-                    members[0],
-                    needed,
-                    jobs=1,
-                    fabric=fabric,
-                ): index
+                pool.submit(_run_batch, members[0], needed, serial): index
                 for index, (members, needed) in enumerate(
                     group_batches
                 )
@@ -267,9 +253,7 @@ def execute_plan(
                 raise error
     else:
         for index, (members, needed) in enumerate(group_batches):
-            outcomes[index] = _run_batch(
-                members[0], needed, jobs=jobs, fabric=fabric
-            )
+            outcomes[index] = _run_batch(members[0], needed, settings)
     for (members, needed), outcome in zip(group_batches, outcomes):
         done, analytic = outcome
         report.executed_cells += done
@@ -304,7 +288,7 @@ def execute_plan(
         if len(times) == len(request.cells()):
             # Complete → warm both cache tiers, exactly as if this
             # campaign had gone through measure_campaign.
-            store_campaign(request.key(), campaign)
+            store_campaign(request.key(), campaign, settings)
         campaigns[digest] = campaign
         sources[digest] = "planned"
         runtime.METRICS.record(

@@ -33,6 +33,7 @@ from repro.cluster.machine import ClusterSpec
 from repro.errors import ConfigurationError
 from repro.npb import BENCHMARKS, ProblemClass
 from repro.npb.base import BenchmarkModel
+from repro.settings import settings
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.measurements import TimingCampaign
@@ -174,10 +175,10 @@ class CampaignRequest:
         """A campaign job: the paper grid unless ``counts`` or
         ``frequencies_mhz`` narrow it, with the runtime's backend and
         platform unless ``backend`` and ``platform`` name them."""
-        from repro import runtime
         from repro.experiments.platform import PAPER_COUNTS, PAPER_FREQUENCIES
         from repro.units import mhz
 
+        resolved = settings(backend=backend, platform=platform)
         return cls(
             benchmark,
             problem_class,
@@ -187,8 +188,8 @@ class CampaignRequest:
                 if frequencies_mhz is None
                 else tuple(mhz(m) for m in frequencies_mhz)
             ),
-            backend=runtime.resolve_backend(backend),
-            platform=runtime.resolve_platform(platform),
+            backend=resolved.backend,
+            platform=resolved.platform,
             fabric=fabric,
             allow_partial=allow_partial,
         )
@@ -221,7 +222,7 @@ class CampaignRequest:
                 self.counts,
                 self.frequencies,
                 self.spec,
-                self.backend,
+                self.backend or settings().backend,
             )
             object.__setattr__(self, "_key", cached)
         return cached
@@ -345,39 +346,32 @@ class GovernRequest:
     spec: ClusterSpec = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        from repro import runtime
-        from repro.governor import (
-            POLICIES,
-            resolve_cap,
-            resolve_epoch_phases,
-            resolve_policy_name,
-            resolve_safety,
-        )
+        from repro.governor import resolve_cap
         from repro.platforms import get_platform
 
         _check_workload(self)
         ranks = int(self.ranks)
         if ranks < 1:
             raise ConfigurationError(f"ranks must be >= 1, got {ranks}")
-        policy = resolve_policy_name(self.policy)
-        if policy not in POLICIES:
-            raise ConfigurationError(
-                f"unknown policy {policy!r}; choose from {sorted(POLICIES)}"
-            )
-        platform = runtime.resolve_platform(self.platform)
-        spec = get_platform(platform)
+        resolved = settings(
+            governor_policy=self.policy,
+            platform=self.platform,
+            governor_epoch=self.epoch_phases,
+            governor_safety=self.safety,
+        )
+        spec = get_platform(resolved.platform)
         cap = resolve_cap(
             ranks, spec, self.scenario, self.cluster_cap_w, self.node_cap_w
         )
         cap.allowed_frequencies_for(spec, ranks)
         for name, value in (
             ("ranks", ranks),
-            ("policy", policy),
-            ("platform", platform),
+            ("policy", resolved.governor_policy),
+            ("platform", resolved.platform),
             ("spec", spec),
             ("cap", cap),
-            ("epoch_phases", resolve_epoch_phases(self.epoch_phases)),
-            ("safety", resolve_safety(self.safety)),
+            ("epoch_phases", resolved.governor_epoch),
+            ("safety", resolved.governor_safety),
             ("seed", int(self.seed)),
         ):
             object.__setattr__(self, name, value)

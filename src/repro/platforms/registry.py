@@ -21,6 +21,7 @@ import typing as _t
 
 from repro.cluster.machine import ClusterSpec
 from repro.errors import ConfigurationError
+from repro.settings import Settings
 
 __all__ = [
     "DEFAULT_PLATFORM",
@@ -36,7 +37,7 @@ __all__ = [
 
 #: The platform campaigns run on when nothing names one — the paper's
 #: homogeneous 16-node Pentium M cluster.
-DEFAULT_PLATFORM = "paper"
+DEFAULT_PLATFORM = Settings.platform
 
 
 @dataclasses.dataclass(frozen=True)

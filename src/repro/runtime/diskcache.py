@@ -43,6 +43,7 @@ import typing as _t
 from repro.cluster.machine import ClusterSpec
 from repro.core.measurements import TimingCampaign
 from repro.runtime import faults
+from repro.settings import Settings, settings
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -61,7 +62,7 @@ __all__ = [
 SCHEMA_VERSION = 2
 
 #: Default cap on resident entries before the LRU sweep kicks in.
-DEFAULT_MAX_ENTRIES = 4096
+DEFAULT_MAX_ENTRIES = Settings.cache_max_entries
 
 # Per-process counters, shared by every DiskCache instance.  A campaign
 # cache is consulted once per campaign, not per cell, so these stay
@@ -255,13 +256,7 @@ class DiskCache:
     ) -> None:
         self.root = pathlib.Path(root)
         if max_entries is None:
-            env = os.environ.get(
-                "REPRO_CACHE_MAX_ENTRIES", ""
-            ).strip()
-            try:
-                max_entries = int(env) if env else DEFAULT_MAX_ENTRIES
-            except ValueError:
-                max_entries = DEFAULT_MAX_ENTRIES
+            max_entries = settings().cache_max_entries
         self.max_entries = max(1, int(max_entries))
 
     def _path(self, digest: str) -> pathlib.Path:

@@ -58,6 +58,7 @@ from repro.errors import (
 )
 from repro.npb.base import BenchmarkModel
 from repro.runtime import faults
+from repro.settings import Settings, settings
 
 __all__ = [
     "BACKENDS",
@@ -96,10 +97,10 @@ def check_backend(backend: str) -> str:
     return name
 
 #: Extra attempts a cell gets after its first failure.
-DEFAULT_RETRIES = 2
+DEFAULT_RETRIES = Settings.retries
 
 #: Base of the exponential backoff between retry rounds, in seconds.
-DEFAULT_RETRY_BACKOFF_S = 0.05
+DEFAULT_RETRY_BACKOFF_S = Settings.retry_backoff_s
 
 #: After this many consecutive pool breaks that harvested zero new
 #: results, the remaining cells run serially instead.
@@ -668,10 +669,9 @@ def execute_campaign(
     ``allow_partial``, in which case surviving cells are returned
     alongside per-cell failure records.
 
-    ``backend`` picks the execution path per :data:`BACKENDS`
-    (``None`` resolves through :func:`repro.runtime.resolve_backend`);
+    ``backend`` picks the execution path per :data:`BACKENDS` and
     ``fabric`` offers the cells to the distributed worker fleet first
-    (``None`` resolves through :func:`repro.runtime.resolve_fabric`).
+    (``None`` resolves either through :func:`repro.settings.settings`).
     """
     cells = [(int(n), float(f)) for n in counts for f in frequencies]
     return execute_cells(
@@ -717,10 +717,9 @@ def execute_cells(
     cell falls outside the analytic model); ``"auto"`` evaluates the
     modelable cells analytically and simulates the rest; ``"des"``
     simulates everything.  ``None`` resolves the process default via
-    :func:`repro.runtime.resolve_backend`.
+    :func:`repro.settings.settings`, as it does for ``fabric``.
 
-    ``fabric`` (``None`` resolves through
-    :func:`repro.runtime.resolve_fabric`) offers the cells to the
+    ``fabric`` offers the cells to the
     distributed worker fleet first — the analytic and DES slices are
     submitted as separate backend-tagged batches *before* either is
     waited on, so the coordinator pipelines them across the fleet
@@ -733,10 +732,8 @@ def execute_cells(
     stay bit-identical either way, because every path runs the same
     deterministic per-cell simulation.
     """
-    from repro import runtime as _runtime
-
-    backend = _runtime.resolve_backend(backend)
-    fabric = _runtime.resolve_fabric(fabric)
+    resolved = settings(backend=backend, fabric=fabric)
+    backend, fabric = resolved.backend, resolved.fabric
     cells = [(int(n), float(f)) for n, f in cells]
     if backend == "analytic":
         analytic_cells: list[Cell] = list(cells)

@@ -37,20 +37,15 @@ bit-identical to the equivalent direct
 :func:`~repro.experiments.platform.measure_campaign` call — JSON
 round-trips doubles exactly.
 
-Environment variables (flags take precedence):
-
-* ``REPRO_SERVE_HOST`` / ``REPRO_SERVE_PORT`` — bind address
-  (default ``127.0.0.1:8642``; port ``0`` picks a free port).
-* ``REPRO_SERVE_WARMUP`` — comma-separated ``benchmark:CLASS`` models
-  to fit before accepting traffic (e.g. ``ep:A,ft:A``); unwarmed
-  models are fitted lazily on first use.
-* ``REPRO_SERVE_JOB_WORKERS`` — campaign job threads (default 2).
-* ``REPRO_SERVE_QUEUE`` — max queued+running jobs before ``/campaign``
-  returns 503 (default 64).
-* ``REPRO_SERVE_RESULT_TTL`` — seconds a finished job is retained
-  (default 900).
-* ``REPRO_SERVE_CACHE_ENTRIES`` — in-process LRU response-cache bound
-  (default 512).
+Configuration: :class:`~repro.service.server.ServiceConfig` holds the
+service's knobs, each field naming its ``REPRO_SERVE_*`` variable
+(flags take precedence); the campaign runtime's knobs are
+:class:`repro.settings.Settings`, resolved once when the service is
+constructed.  Both read the environment through
+:func:`repro.settings.env_values`, so a malformed value is a
+:class:`~repro.errors.ConfigurationError` naming the variable, and
+``repro-serve`` exits 2 on it.  README's environment table lists them
+all.
 """
 
 from repro.service.client import ServiceClient, ServiceError

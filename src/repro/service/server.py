@@ -55,12 +55,14 @@ import dataclasses
 import inspect
 import os
 import signal
+import sys
 import threading
 import time
 import typing as _t
 
 from repro.errors import ConfigurationError, ReproError
 from repro.service import coalesce, jobs as jobs_mod, memcache, protocol
+from repro.settings import env_values, flag, knob, settings
 
 __all__ = [
     "DEFAULT_HOST",
@@ -81,97 +83,6 @@ DEFAULT_PORT = 8642
 _MODEL_COUNTS: dict[str, tuple[int, ...]] = {"lu": (1, 2, 4, 8)}
 
 
-def _env_int(name: str, default: int) -> int:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
-def _env_float(name: str, default: float) -> float:
-    raw = os.environ.get(name, "").strip()
-    try:
-        return float(raw) if raw else default
-    except ValueError:
-        return default
-
-
-@dataclasses.dataclass
-class ServiceConfig:
-    """Everything configurable about one service instance.
-
-    Defaults come from the ``REPRO_SERVE_*`` environment (see
-    :mod:`repro.service`); CLI flags override per invocation.
-    """
-
-    host: str = DEFAULT_HOST
-    port: int = DEFAULT_PORT
-    warmup: tuple[tuple[str, str], ...] = ()
-    job_workers: int = 2
-    max_queue: int = 64
-    result_ttl_s: float = 900.0
-    cache_entries: int = memcache.DEFAULT_MAX_ENTRIES
-    allow_faults: bool = False
-    drain_timeout_s: float = 30.0
-    #: Campaign-fabric timings (see :mod:`repro.fabric`); tests dial
-    #: these down so lease expiry and worker death resolve in tens of
-    #: milliseconds instead of seconds.
-    fabric_lease_ttl_s: float = 5.0
-    fabric_heartbeat_s: float = 1.0
-    fabric_worker_timeout_s: float | None = None
-    #: Cap on cells per lease; the adaptive sizing policy picks the
-    #: actual count (see :class:`repro.fabric.FabricCoordinator`).
-    fabric_max_lease_cells: int = 256
-    #: Per-lease work target driving adaptive lease sizing.  ``None``
-    #: defaults to ~2× the heartbeat; ``0`` disables adaptation
-    #: (every lease filled to the cap).
-    fabric_target_lease_s: float | None = None
-    #: Period of the housekeeping task (job purge + fabric reap).
-    housekeeping_s: float = 1.0
-
-    @classmethod
-    def from_env(cls) -> "ServiceConfig":
-        """A config resolved from the ``REPRO_SERVE_*`` environment."""
-        return cls(
-            host=os.environ.get("REPRO_SERVE_HOST", "").strip()
-            or DEFAULT_HOST,
-            port=_env_int("REPRO_SERVE_PORT", DEFAULT_PORT),
-            warmup=parse_warmup(
-                os.environ.get("REPRO_SERVE_WARMUP", "")
-            ),
-            job_workers=_env_int("REPRO_SERVE_JOB_WORKERS", 2),
-            max_queue=_env_int("REPRO_SERVE_QUEUE", 64),
-            result_ttl_s=_env_float("REPRO_SERVE_RESULT_TTL", 900.0),
-            cache_entries=_env_int(
-                "REPRO_SERVE_CACHE_ENTRIES", memcache.DEFAULT_MAX_ENTRIES
-            ),
-            allow_faults=os.environ.get(
-                "REPRO_SERVE_ALLOW_FAULTS", ""
-            ).strip().lower()
-            in ("1", "true", "yes", "on"),
-            fabric_lease_ttl_s=_env_float(
-                "REPRO_SERVE_LEASE_TTL", 5.0
-            ),
-            fabric_heartbeat_s=_env_float(
-                "REPRO_SERVE_HEARTBEAT", 1.0
-            ),
-            fabric_max_lease_cells=_env_int(
-                "REPRO_SERVE_MAX_LEASE_CELLS", 256
-            ),
-            fabric_target_lease_s=(
-                _env_float("REPRO_SERVE_TARGET_LEASE", -1.0)
-                if os.environ.get(
-                    "REPRO_SERVE_TARGET_LEASE", ""
-                ).strip()
-                else None
-            ),
-            housekeeping_s=_env_float(
-                "REPRO_SERVE_HOUSEKEEPING", 1.0
-            ),
-        )
-
-
 def parse_warmup(text: str) -> tuple[tuple[str, str], ...]:
     """Parse ``"ep:A,ft:A"`` into ``(("ep", "A"), ("ft", "A"))``."""
     models = []
@@ -184,11 +95,65 @@ def parse_warmup(text: str) -> tuple[tuple[str, str], ...]:
     return tuple(models)
 
 
+@dataclasses.dataclass
+class ServiceConfig:
+    """Everything configurable about one service instance.
+
+    Defaults come from the ``REPRO_SERVE_*`` environment (each field's
+    variable is named beside it); CLI flags override per invocation.
+    """
+
+    host: str = knob("REPRO_SERVE_HOST", str, DEFAULT_HOST)
+    port: int = knob("REPRO_SERVE_PORT", int, DEFAULT_PORT)
+    warmup: tuple[tuple[str, str], ...] = knob(
+        "REPRO_SERVE_WARMUP", parse_warmup, ()
+    )
+    job_workers: int = knob("REPRO_SERVE_JOB_WORKERS", int, 2)
+    max_queue: int = knob("REPRO_SERVE_QUEUE", int, 64)
+    result_ttl_s: float = knob("REPRO_SERVE_RESULT_TTL", float, 900.0)
+    cache_entries: int = knob(
+        "REPRO_SERVE_CACHE_ENTRIES", int, memcache.DEFAULT_MAX_ENTRIES
+    )
+    allow_faults: bool = knob("REPRO_SERVE_ALLOW_FAULTS", flag, False)
+    drain_timeout_s: float = 30.0
+    #: Campaign-fabric timings (see :mod:`repro.fabric`); tests dial
+    #: these down so lease expiry and worker death resolve in tens of
+    #: milliseconds instead of seconds.
+    fabric_lease_ttl_s: float = knob("REPRO_SERVE_LEASE_TTL", float, 5.0)
+    fabric_heartbeat_s: float = knob("REPRO_SERVE_HEARTBEAT", float, 1.0)
+    fabric_worker_timeout_s: float | None = None
+    #: Cap on cells per lease; the adaptive sizing policy picks the
+    #: actual count (see :class:`repro.fabric.FabricCoordinator`).
+    fabric_max_lease_cells: int = knob(
+        "REPRO_SERVE_MAX_LEASE_CELLS", int, 256
+    )
+    #: Per-lease work target driving adaptive lease sizing.  ``None``
+    #: defaults to ~2× the heartbeat; ``0`` disables adaptation
+    #: (every lease filled to the cap).
+    fabric_target_lease_s: float | None = knob(
+        "REPRO_SERVE_TARGET_LEASE", float
+    )
+    #: Period of the housekeeping task (job purge + fabric reap).
+    housekeeping_s: float = knob("REPRO_SERVE_HOUSEKEEPING", float, 1.0)
+
+    @classmethod
+    def from_env(cls) -> "ServiceConfig":
+        """A config resolved from the ``REPRO_SERVE_*`` environment.
+
+        A malformed value raises :class:`~repro.errors.
+        ConfigurationError` naming the variable.
+        """
+        return cls(**env_values(cls))
+
+
 class ReproService:
     """The prediction & campaign HTTP service."""
 
     def __init__(self, config: ServiceConfig | None = None) -> None:
         self.config = config or ServiceConfig()
+        #: Runtime settings resolved once, at construction: ``/predict``
+        #: reads its default platform here, never per request.
+        self.settings = settings()
         self.responses = memcache.LRUCache(self.config.cache_entries)
         self.predict_coalescer = coalesce.Coalescer()
         self.fit_coalescer = coalesce.Coalescer()
@@ -589,16 +554,16 @@ class ReproService:
         }
 
     def _parse_platform(self, body: dict) -> str:
-        """The request's validated platform name (default resolution
-        through the runtime ladder); unknown names are a 400 naming
+        """The request's validated platform name (the service's
+        resolved default when absent); unknown names are a 400 naming
         the valid choices."""
-        from repro import runtime
+        from repro.platforms import check_platform
 
         explicit = body.get("platform")
+        if explicit is None:
+            return self.settings.platform
         try:
-            return runtime.resolve_platform(
-                str(explicit) if explicit is not None else None
-            )
+            return check_platform(str(explicit))
         except ConfigurationError as exc:
             raise protocol.ProtocolError(str(exc)) from exc
 
@@ -1143,25 +1108,29 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
 
 def serve_from_args(args: argparse.Namespace) -> int:
     """Run the service from parsed CLI arguments (blocks until
-    SIGTERM/SIGINT)."""
-    config = ServiceConfig.from_env()
-    if args.host is not None:
-        config.host = args.host
-    if args.port is not None:
-        config.port = args.port
-    if args.warmup is not None:
-        config.warmup = parse_warmup(args.warmup)
-    if args.job_workers is not None:
-        config.job_workers = args.job_workers
-    if args.queue is not None:
-        config.max_queue = args.queue
-    if args.result_ttl is not None:
-        config.result_ttl_s = args.result_ttl
-    if args.cache_entries is not None:
-        config.cache_entries = args.cache_entries
-    if args.allow_faults:
-        config.allow_faults = True
-    service = ReproService(config)
+    SIGTERM/SIGINT).  A bad setting is a usage error (exit 2)."""
+    try:
+        config = ServiceConfig.from_env()
+        if args.host is not None:
+            config.host = args.host
+        if args.port is not None:
+            config.port = args.port
+        if args.warmup is not None:
+            config.warmup = parse_warmup(args.warmup)
+        if args.job_workers is not None:
+            config.job_workers = args.job_workers
+        if args.queue is not None:
+            config.max_queue = args.queue
+        if args.result_ttl is not None:
+            config.result_ttl_s = args.result_ttl
+        if args.cache_entries is not None:
+            config.cache_entries = args.cache_entries
+        if args.allow_faults:
+            config.allow_faults = True
+        service = ReproService(config)
+    except ConfigurationError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
     try:
         asyncio.run(service.run(announce=True))
     except KeyboardInterrupt:
@@ -1188,6 +1157,4 @@ def main(argv: _t.Sequence[str] | None = None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    import sys
-
     sys.exit(main())

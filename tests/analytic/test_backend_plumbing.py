@@ -47,23 +47,23 @@ def isolated_runtime(tmp_path):
 
 class TestBackendResolution:
     def test_default_is_des(self):
-        assert runtime.resolve_backend() == "des"
+        assert runtime.settings().backend == "des"
 
     def test_explicit_wins(self):
         runtime.configure(backend="des")
-        assert runtime.resolve_backend("analytic") == "analytic"
+        assert runtime.settings(backend="analytic").backend == "analytic"
 
     def test_configured_default(self):
         runtime.configure(backend="auto")
-        assert runtime.resolve_backend() == "auto"
+        assert runtime.settings().backend == "auto"
 
     def test_env_fallback(self, monkeypatch):
         monkeypatch.setenv("REPRO_BACKEND", "analytic")
-        assert runtime.resolve_backend() == "analytic"
+        assert runtime.settings().backend == "analytic"
 
     def test_unknown_names_rejected_everywhere(self):
         for attempt in (
-            lambda: runtime.resolve_backend("fpga"),
+            lambda: runtime.settings(backend="fpga").backend,
             lambda: runtime.configure(backend="fpga"),
             lambda: runtime.check_backend("fpga"),
             lambda: runtime.execute_cells(

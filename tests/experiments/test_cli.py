@@ -277,3 +277,18 @@ def test_malformed_counts_exit_2(command, capsys):
     err = capsys.readouterr().err
     assert "--counts" in err
     assert "Traceback" not in err
+
+
+def test_malformed_setting_exits_2_naming_the_variable(monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_JOBS", "abc")
+    try:
+        with pytest.raises(SystemExit) as excinfo:
+            cli.main(
+                ["run", "table3", "--backend", "analytic", "--no-disk-cache"]
+            )
+    finally:
+        runtime.configure(backend=None, disk_cache=None)
+    assert excinfo.value.code == 2
+    err = capsys.readouterr().err
+    assert "REPRO_JOBS" in err
+    assert "Traceback" not in err

@@ -58,7 +58,7 @@ class TestPlatformPartial:
         (failure,) = record["failures"]
         assert failure["cell"] == [DOOMED[0], DOOMED[1]]
         history = failure["attempts"]
-        assert len(history) == 1 + runtime.resolve_retries(None)
+        assert len(history) == 1 + runtime.settings().retries
         assert all(a["outcome"] == "exception" for a in history)
         assert "injected exception" in failure["error"]
 

@@ -141,21 +141,24 @@ class TestPresets:
 class TestResolvePlatform:
     def test_default_is_paper(self, monkeypatch):
         monkeypatch.delenv("REPRO_PLATFORM", raising=False)
-        assert runtime.resolve_platform() == "paper"
+        assert runtime.settings().platform == "paper"
 
     def test_explicit_wins(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLATFORM", "paper-memwall")
-        assert runtime.resolve_platform("hetero-2gen") == "hetero-2gen"
+        assert (
+            runtime.settings(platform="hetero-2gen").platform
+            == "hetero-2gen"
+        )
 
     def test_env_var(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLATFORM", "hetero-2gen")
-        assert runtime.resolve_platform() == "hetero-2gen"
+        assert runtime.settings().platform == "hetero-2gen"
 
     def test_configure_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLATFORM", "hetero-2gen")
         runtime.configure(platform="paper-memwall")
         try:
-            assert runtime.resolve_platform() == "paper-memwall"
+            assert runtime.settings().platform == "paper-memwall"
         finally:
             runtime.configure(platform=None)
 
@@ -166,4 +169,4 @@ class TestResolvePlatform:
     def test_env_rejects_unknown(self, monkeypatch):
         monkeypatch.setenv("REPRO_PLATFORM", "bogus")
         with pytest.raises(ConfigurationError, match="unknown platform"):
-            runtime.resolve_platform()
+            runtime.settings().platform

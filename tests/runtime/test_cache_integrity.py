@@ -9,8 +9,8 @@ import time
 
 import pytest
 
-from repro import runtime
 from repro.core.measurements import TimingCampaign
+from repro.errors import ConfigurationError
 from repro.runtime import FaultPlan, install_fault_plan
 from repro.runtime.diskcache import (
     SCHEMA_VERSION,
@@ -179,11 +179,13 @@ class TestLruSweep:
     def test_bad_env_falls_back_to_default(
         self, tmp_path, monkeypatch
     ):
+        # A malformed value is an error naming the variable, not a
+        # silent fallback to the default.
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "banana")
-        assert (
-            DiskCache(tmp_path).max_entries
-            == runtime.DEFAULT_MAX_ENTRIES
-        )
+        with pytest.raises(
+            ConfigurationError, match="REPRO_CACHE_MAX_ENTRIES"
+        ):
+            DiskCache(tmp_path)
 
 
 def _hammer_cache(root: str, rounds: int) -> None:

@@ -196,31 +196,31 @@ class TestCacheKeys:
 class TestConfigResolution:
     def test_explicit_jobs_wins(self):
         runtime.configure(jobs=8)
-        assert runtime.resolve_jobs(2, n_cells=100) == 2
+        assert runtime.settings(jobs=2).jobs_for(100) == 2
 
     def test_configured_jobs_used(self):
         runtime.configure(jobs=3)
-        assert runtime.resolve_jobs(None, n_cells=100) == 3
+        assert runtime.settings().jobs_for(100) == 3
 
     def test_env_jobs(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "5")
-        assert runtime.resolve_jobs(None, n_cells=100) == 5
+        assert runtime.settings().jobs_for(100) == 5
 
     def test_jobs_capped_by_cells(self):
-        assert runtime.resolve_jobs(16, n_cells=4) == 4
+        assert runtime.settings(jobs=16).jobs_for(4) == 4
 
     def test_auto_stays_serial_below_threshold(self):
         assert (
-            runtime.resolve_jobs(
-                None, n_cells=runtime.MIN_CELLS_AUTO_PARALLEL - 1
+            runtime.settings().jobs_for(
+                runtime.MIN_CELLS_AUTO_PARALLEL - 1
             )
             == 1
         )
 
     def test_disk_cache_env_kill_switch(self, monkeypatch):
         monkeypatch.setenv("REPRO_DISK_CACHE", "0")
-        assert runtime.disk_cache_enabled() is False
-        assert runtime.disk_cache_enabled(True) is True
+        assert runtime.settings().disk_cache is False
+        assert runtime.settings(disk_cache=True).disk_cache is True
 
     def test_cache_dir_env(self, monkeypatch, tmp_path):
         runtime.configure(cache_dir=None)

@@ -8,6 +8,8 @@ import pytest
 from repro.cluster import paper_spec
 from repro.config import spec_from_dict, spec_to_dict
 from repro.errors import ConfigurationError
+from repro.platforms import get_platform, platform_names
+from repro.runtime import spec_digest
 from repro.units import mhz
 
 
@@ -54,6 +56,23 @@ class TestRoundTrip:
         rebuilt = ft.run(Cluster(rebuilt_spec, frequency_hz=mhz(1000)))
         assert rebuilt.elapsed_s == original.elapsed_s
         assert rebuilt.energy_j == original.energy_j
+
+    @pytest.mark.parametrize("name", platform_names())
+    def test_registered_platform_digest_survives_json(self, name):
+        """Node groups and the memory wall are part of the round trip."""
+        spec = get_platform(name)
+        rebuilt = spec_from_dict(json.loads(json.dumps(spec_to_dict(spec))))
+        assert spec_digest(rebuilt) == spec_digest(spec)
+
+    def test_documents_without_new_keys_read_as_defaults(self):
+        data = spec_to_dict(paper_spec())
+        del data["groups"]
+        del data["memory"]["shared_cores"]
+        del data["memory"]["contention"]
+        rebuilt = spec_from_dict(data)
+        assert rebuilt.groups == ()
+        assert rebuilt.memory.shared_cores == 1
+        assert rebuilt.memory.contention == 0.0
 
 
 class TestValidation:
