@@ -27,21 +27,20 @@ consequences we model:
 Intra-node "messages" (rank to itself) bypass the network and move at
 local memcpy bandwidth.
 
-:class:`SwitchedNetwork` executes transfers as simulated processes on
-the discrete-event engine; the analytic Hockney/LogGP view of the same
-network lives in :mod:`repro.mpi.cost`.
+:class:`SwitchedNetwork` executes each transfer on the discrete-event
+engine as a chain of heap calls (:class:`_Transfer`); the analytic
+Hockney/LogGP view of the same network lives in :mod:`repro.mpi.cost`.
 """
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import typing as _t
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Engine
-from repro.sim.events import Timeout
-from repro.sim.process import Process
-from repro.sim.resources import Resource
+from repro.sim.events import Event, _Call
 from repro.units import mbit_per_s, mbyte_per_s
 
 __all__ = ["NetworkSpec", "SwitchedNetwork"]
@@ -104,6 +103,123 @@ class NetworkSpec:
         return self.line_rate_bytes_per_s * self.efficiency
 
 
+class _Port:
+    """One switch port direction: a single holder, waiters in FIFO order.
+
+    Private to the network; :class:`~repro.sim.resources.Resource`
+    stays the public primitive.  A waiter is the chain step to run
+    once it holds the port; a grant pushes that step as one heap call,
+    at once when the port is idle, else when the holder releases.
+    """
+
+    __slots__ = ("env", "busy", "waiting")
+
+    def __init__(self, env: Engine) -> None:
+        self.env = env
+        self.busy = False
+        self.waiting: collections.deque[_t.Callable] = collections.deque()
+
+    def request(self, granted: _t.Callable) -> None:
+        if self.busy:
+            self.waiting.append(granted)
+            return
+        self.busy = True
+        self.env._schedule_call(granted)
+
+    def release(self) -> None:
+        if self.waiting:
+            self.env._schedule_call(self.waiting.popleft())
+        else:
+            self.busy = False
+
+
+class _Transfer:
+    """One transfer as a chain of heap calls.
+
+    A remote transfer runs start → TX grant → RX grant → wire delay →
+    latency delay → completion; a local copy runs start → copy delay →
+    completion.  Each step is one heap entry that pushes the next, and
+    the chain counts as one process in the engine's
+    ``processes_spawned`` and ``_live_processes``.  The entries and
+    their order are pinned by ``tests/sim/test_transport_schedule.py``
+    and the golden cells: adding, dropping or moving one changes the
+    engine counters or the results they pin.
+
+    ``done`` is the completion: an :class:`~repro.sim.events.Event` is
+    succeeded (its own heap entry is the completion step); a callable
+    is pushed as the completion call.
+    """
+
+    __slots__ = ("net", "src", "dst", "nbytes", "done")
+
+    def __init__(
+        self,
+        net: "SwitchedNetwork",
+        src: int,
+        dst: int,
+        nbytes: float,
+        done: Event | _t.Callable,
+    ) -> None:
+        self.net = net
+        self.src = src
+        self.dst = dst
+        self.nbytes = nbytes
+        self.done = done
+        env = net.env
+        env._live_processes += 1
+        env.processes_spawned += 1
+        env._schedule_call(self._copy if src == dst else self._request_tx)
+
+    def _copy(self, _call: _Call) -> None:
+        net = self.net
+        net.env._schedule_call(
+            self._finish, float(self.nbytes / net.spec.local_copy_bytes_per_s)
+        )
+
+    def _request_tx(self, _call: _Call) -> None:
+        # TX before RX everywhere: nobody holds an RX port while
+        # waiting for a TX port, so the ordering is deadlock-free.
+        self.net._tx[self.src].request(self._request_rx)
+
+    def _request_rx(self, _call: _Call) -> None:
+        self.net._rx[self.dst].request(self._clock_bytes)
+
+    def _clock_bytes(self, _call: _Call) -> None:
+        net = self.net
+        net._active_flows += 1
+        flows = net._active_flows
+        penalty = 1.0 if flows <= 1 else net.spec.congestion_penalty(flows)
+        net.env._schedule_call(
+            self._release, float(self.nbytes / net._bandwidth * penalty)
+        )
+
+    def _release(self, _call: _Call) -> None:
+        # RX first, then TX: each release pushes the next waiter's
+        # grant before the latency step is pushed.
+        net = self.net
+        net._active_flows -= 1
+        net._rx[self.dst].release()
+        net._tx[self.src].release()
+        # Propagation/forwarding delay after the ports are released: the
+        # message is "in flight" and does not block subsequent traffic.
+        net.env._schedule_call(self._arrive, net._latency)
+
+    def _arrive(self, call: _Call) -> None:
+        net = self.net
+        net.bytes_transferred += self.nbytes
+        net.transfer_count += 1
+        self._finish(call)
+
+    def _finish(self, _call: _Call) -> None:
+        env = self.net.env
+        env._live_processes -= 1
+        done = self.done
+        if isinstance(done, Event):
+            done.succeed()
+        else:
+            env._schedule_call(done)
+
+
 class SwitchedNetwork:
     """A full-duplex switched network with per-port contention.
 
@@ -128,9 +244,9 @@ class SwitchedNetwork:
         # Hot-path caches of immutable spec values (one lookup each per
         # remote transfer instead of property/method hops).
         self._bandwidth = self.spec.effective_bandwidth
-        self._latency = self.spec.latency_s
-        self._tx = [Resource(env, capacity=1) for _ in range(n_nodes)]
-        self._rx = [Resource(env, capacity=1) for _ in range(n_nodes)]
+        self._latency = float(self.spec.latency_s)
+        self._tx = [_Port(env) for _ in range(n_nodes)]
+        self._rx = [_Port(env) for _ in range(n_nodes)]
         #: Transfers currently clocking bytes through the switch.
         self._active_flows = 0
         #: Total payload bytes moved over the switch (excludes local copies).
@@ -155,69 +271,37 @@ class SwitchedNetwork:
         """Latency + serialization for a lone message (Hockney view)."""
         return self.spec.latency_s + self.serialization_time(nbytes)
 
-    def transfer(self, src: int, dst: int, nbytes: float) -> Process:
+    def transfer(self, src: int, dst: int, nbytes: float) -> Event:
         """Start moving ``nbytes`` from node ``src`` to node ``dst``.
 
-        Returns the transfer :class:`~repro.sim.process.Process`; it
-        succeeds when the last byte has arrived at ``dst``.  The wire
-        time occupies the sender's TX port and the receiver's RX port
-        simultaneously; latency is pure pipeline delay and holds
-        neither.
+        Returns an :class:`~repro.sim.events.Event` that succeeds when
+        the last byte has arrived at ``dst``.  The wire time occupies
+        the sender's TX port and the receiver's RX port simultaneously;
+        latency is pure pipeline delay and holds neither.
         """
         src = self._check_port(src)
         dst = self._check_port(dst)
         if nbytes < 0:
             raise ConfigurationError(f"message size must be >= 0: {nbytes}")
-        if src == dst:
-            return self.env.process(self._local_copy(nbytes))
-        return self.env.process(self._remote_transfer(src, dst, nbytes))
+        done = Event(self.env)
+        _Transfer(self, src, dst, nbytes, done)
+        return done
 
-    def _local_copy(self, nbytes: float) -> _t.Generator:
-        yield self.env.timeout(nbytes / self.spec.local_copy_bytes_per_s)
+    def _start(
+        self, src: int, dst: int, nbytes: float, done: Event | _t.Callable
+    ) -> None:
+        """Start a transfer without :meth:`transfer`'s checks.
 
-    def _remote_transfer(
-        self, src: int, dst: int, nbytes: float
-    ) -> _t.Generator:
-        # Acquire TX before RX everywhere.  The two resource classes are
-        # disjoint (nobody holds an RX while waiting for a TX), so the
-        # ordering is deadlock-free.  Spelled with try/finally rather
-        # than context managers — this generator runs a quarter million
-        # times per LU cell, and the release order (RX, then TX) matches
-        # what nested ``with`` blocks produced.
-        tx, rx = self._tx[src], self._rx[dst]
-        tx_req = tx.request()
-        try:
-            yield tx_req
-            rx_req = rx.request()
-            try:
-                yield rx_req
-                self._active_flows += 1
-                flows = self._active_flows
-                penalty = (
-                    1.0
-                    if flows <= 1
-                    else self.spec.congestion_penalty(flows)
-                )
-                try:
-                    yield Timeout(
-                        self.env, nbytes / self._bandwidth * penalty
-                    )
-                finally:
-                    self._active_flows -= 1
-            finally:
-                rx.release(rx_req)
-        finally:
-            tx.release(tx_req)
-        # Propagation/forwarding delay after the ports are released: the
-        # message is "in flight" and does not block subsequent traffic.
-        yield Timeout(self.env, self._latency)
-        self.bytes_transferred += nbytes
-        self.transfer_count += 1
+        For callers that validated the ports and size already.  ``done``
+        is the completion: an event to succeed, or a callable pushed as
+        the completion call.
+        """
+        _Transfer(self, src, dst, nbytes, done)
 
     def tx_queue_length(self, port: int) -> int:
         """Number of transfers waiting on a node's TX port."""
-        return self._tx[self._check_port(port)].queue_length
+        return len(self._tx[self._check_port(port)].waiting)
 
     def rx_queue_length(self, port: int) -> int:
         """Number of transfers waiting on a node's RX port."""
-        return self._rx[self._check_port(port)].queue_length
+        return len(self._rx[self._check_port(port)].waiting)

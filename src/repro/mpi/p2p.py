@@ -12,7 +12,10 @@ is how real codes pick up "parallel overhead" waiting time.
 
 These functions are *generators* meant to be driven by the engine —
 either directly (``yield from send(...)``) or wrapped in a process for
-the non-blocking variants (``engine.process(send(...))``).
+the non-blocking variants (``engine.process(send(...))``).  What runs
+beside the sender — an eager payload's delivery, a rendezvous
+envelope's flight, the clear-to-send and the bulk transfer — is a
+chain of heap calls (:class:`_Courier`), not a process.
 
 Time charged to the caller:
 
@@ -28,32 +31,102 @@ from __future__ import annotations
 
 import typing as _t
 
+from repro.cluster.node import Node
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Communicator
 from repro.mpi.datatypes import Message
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Event, Timeout, _Call
 
 __all__ = ["send", "recv", "sendrecv"]
 
 
-def _eager_delivery(comm: Communicator, message: Message) -> _t.Generator:
-    """Background process: move an eager payload, then deliver it.
+class _Courier:
+    """What moves one message after its sender has launched it.
 
-    Ranks were validated by :func:`send`, so the communicator's internal
-    tables are indexed directly here and below.
+    Eager: start → the network transfer (see
+    :class:`~repro.cluster.network.SwitchedNetwork`) → delivery to the
+    receiver's matcher.  Rendezvous: start → latency delay → envelope
+    announced to the matcher; the clear-to-send event then starts the
+    bulk transfer, whose completion is ``done``, the event the sender
+    waits on.  The courier counts as one process in the engine's
+    ``processes_spawned`` and ``_live_processes`` until it has
+    delivered the payload or announced the envelope.
     """
-    node_ids = comm._node_ids
-    yield comm.network.transfer(
-        node_ids[message.source], node_ids[message.dest], message.nbytes
-    )
-    comm.matchers[message.dest].deliver_eager(message)
+
+    __slots__ = ("comm", "message", "done")
+
+    def __init__(
+        self, comm: Communicator, message: Message, done: Event | None
+    ) -> None:
+        self.comm = comm
+        self.message = message
+        self.done = done
+        engine = comm.engine
+        engine._live_processes += 1
+        engine.processes_spawned += 1
+        if done is None:
+            engine._schedule_call(self._transfer)
+        else:
+            # Ahead of the sender's resume, which joins when it yields
+            # ``done``: the receive completes before the sender moves on.
+            done.callbacks.append(self._complete_rendezvous)
+            engine._schedule_call(self._fly_envelope)
+
+    def _transfer(self, _entry: _Call | Event) -> None:
+        # An eager message's first step, or a rendezvous message's
+        # clear-to-send callback.
+        comm = self.comm
+        message = self.message
+        node_ids = comm._node_ids
+        comm.network._start(
+            node_ids[message.source],
+            node_ids[message.dest],
+            message.nbytes,
+            self._deliver_eager if self.done is None else self.done,
+        )
+
+    def _deliver_eager(self, _call: _Call) -> None:
+        comm = self.comm
+        comm.matchers[self.message.dest].deliver_eager(self.message)
+        comm.engine._live_processes -= 1
+
+    def _fly_envelope(self, _call: _Call) -> None:
+        comm = self.comm
+        comm.engine._schedule_call(self._announce, comm.network._latency)
+
+    def _announce(self, _call: _Call) -> None:
+        comm = self.comm
+        clear_to_send = Event(comm.engine)
+        clear_to_send.callbacks.append(self._transfer)
+        comm.matchers[self.message.dest].announce_rendezvous(
+            self.message, clear_to_send
+        )
+        comm.engine._live_processes -= 1
+
+    def _complete_rendezvous(self, _done: Event) -> None:
+        self.comm.matchers[self.message.dest].complete_rendezvous(self.message)
 
 
-def _rndv_announce(
-    comm: Communicator, message: Message, clear_to_send: Event
-) -> _t.Generator:
-    """Background process: carry a rendezvous envelope to the receiver."""
-    yield Timeout(comm.engine, comm.network.spec.latency_s)
-    comm.matchers[message.dest].announce_rendezvous(message, clear_to_send)
+def launch(
+    comm: Communicator, node: Node, message: Message, overhead: float
+) -> Event | None:
+    """The send step after the sender's host overhead has elapsed.
+
+    Charges ``overhead`` at COMM, records the send, and starts the
+    message's courier.  Returns ``None`` for an eager message (the
+    sender is done) or, for a rendezvous message, the event the sender
+    must wait on: it succeeds once the receiver has matched the
+    envelope and the bulk transfer has arrived.  Shared by
+    :func:`send` and :meth:`RankContext.send
+    <repro.mpi.program.RankContext.send>`.
+    """
+    node.account_comm(overhead)
+    comm.record_send(message.source, message.nbytes)
+    if message.nbytes <= node.nic_spec.eager_threshold_bytes:
+        _Courier(comm, message, None)
+        return None
+    done = Event(comm.engine)
+    _Courier(comm, message, done)
+    return done
 
 
 def send(
@@ -74,27 +147,13 @@ def send(
     comm.check_rank(source)
     comm.check_rank(dest)
     node = comm._nodes[source]
-    engine = comm.engine
     message = Message(source, dest, tag, nbytes, payload)
-
     # Host CPU cost of initiating the message (copies, packetization).
     overhead = node.message_overhead_seconds(nbytes)
-    yield Timeout(engine, overhead)
-    node.account_comm(overhead)
-    comm.record_send(source, nbytes)
-
-    if nbytes <= node.nic_spec.eager_threshold_bytes:
-        # Nobody joins the delivery task, so run it detached: same
-        # start position in the queue, no Process event to finalize.
-        engine.detach(_eager_delivery(comm, message))
-        return message
-
-    clear_to_send = Event(engine)
-    engine.detach(_rndv_announce(comm, message, clear_to_send))
-    yield clear_to_send
-    node_ids = comm._node_ids
-    yield comm.network.transfer(node_ids[source], node_ids[dest], nbytes)
-    comm.matchers[dest].complete_rendezvous(message)
+    yield Timeout(comm.engine, overhead)
+    rendezvous = launch(comm, node, message, overhead)
+    if rendezvous is not None:
+        yield rendezvous
     return message
 
 

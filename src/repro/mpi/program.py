@@ -51,7 +51,7 @@ from repro.mpi import collectives as _coll
 from repro.mpi import p2p as _p2p
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Communicator
 from repro.mpi.datatypes import Message
-from repro.sim.events import Event, Timeout
+from repro.sim.events import Timeout
 from repro.sim.trace import Tracer
 
 __all__ = ["RankContext", "RunResult", "run_program"]
@@ -229,13 +229,12 @@ class RankContext:
     ) -> _t.Generator[_t.Any, _t.Any, Message]:
         """Blocking send (eager below the NIC threshold, else rendezvous).
 
-        Both the :meth:`_comm_op` accounting and the
-        :func:`repro.mpi.p2p.send` protocol body are open-coded here
-        (and in :meth:`recv`) rather than delegated: these two run once
-        per simulated message, and every dropped generator frame is a
-        measurable win on iterative benchmarks.  Keep the protocol
-        logic in sync with ``repro.mpi.p2p`` — the standalone functions
-        remain the API for direct engine use and for ``isend``/``irecv``.
+        The :meth:`_comm_op` accounting and the body of
+        :func:`repro.mpi.p2p.send` are open-coded here (and in
+        :meth:`recv`) rather than delegated: these two run once per
+        simulated message, and every dropped generator frame is a
+        measurable win on iterative benchmarks.  The protocol itself
+        is :func:`repro.mpi.p2p.launch`, shared with ``p2p.send``.
         """
         comm = self.comm
         rank = self.rank
@@ -250,20 +249,9 @@ class RankContext:
         # Host CPU cost of initiating the message (copies, packetization).
         overhead = node.message_overhead_seconds(nbytes)
         yield Timeout(engine, overhead)
-        node.account_comm(overhead)
-        comm.record_send(rank, nbytes)
-
-        if nbytes <= node.nic_spec.eager_threshold_bytes:
-            engine.detach(_p2p._eager_delivery(comm, message))
-        else:
-            clear_to_send = Event(engine)
-            engine.detach(_p2p._rndv_announce(comm, message, clear_to_send))
-            yield clear_to_send
-            node_ids = comm._node_ids
-            yield comm.network.transfer(
-                node_ids[rank], node_ids[dest], nbytes
-            )
-            comm.matchers[dest].complete_rendezvous(message)
+        rendezvous = _p2p.launch(comm, node, message, overhead)
+        if rendezvous is not None:
+            yield rendezvous
 
         idle = (engine._now - t0) - (energy._s_comm - before)
         if idle > 0:

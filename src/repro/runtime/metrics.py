@@ -75,8 +75,8 @@ class CampaignRecord:
         Engine heap entries executed, summed over simulated cells
         (0 for cache hits).
     processes_spawned:
-        Simulated processes started (detached tasks included), summed
-        over simulated cells.
+        Simulated processes started (transfer chains included),
+        summed over simulated cells.
     peak_queue_len:
         Largest event-heap high-water mark over the campaign's cells.
     analytic_cells:

@@ -23,10 +23,20 @@ machine — which is the dominant cost of a simulation step.  Because a
 event would have, replacing relay events with calls is *order
 preserving*: schedules (and therefore results) are bit-identical.
 
+Callback chains
+---------------
+Work whose steps are fixed in advance needs no generator.  The
+simulated network (:mod:`repro.cluster.network`) and the
+point-to-point layer (:mod:`repro.mpi.p2p`) run every message transfer
+as chains of ``_Call`` entries, each step pushing the next.  A chain
+counts as one process in ``processes_spawned`` and, until its last
+step, in ``_live_processes``, so :meth:`Engine.stats` counts it and
+deadlock detection sees it.
+
 Throughput counters
 -------------------
-The engine counts events processed, processes spawned (including
-detached background tasks) and the peak heap size; see :meth:`stats`.
+The engine counts events processed, processes spawned (callback
+chains included) and the peak heap size; see :meth:`stats`.
 The campaign runtime divides ``events_processed`` by wall time to
 report engine throughput per cell (``BENCH_engine.json``, the CLI's
 ``[campaign runtime]`` line).
@@ -75,7 +85,7 @@ class Engine:
         self._live_processes = 0
         #: Heap entries popped and executed so far (events + calls).
         self.events_processed = 0
-        #: Processes started, including detached background tasks.
+        #: Processes started, callback chains included.
         self.processes_spawned = 0
         #: Largest queue length observed (memory high-water mark).
         self.peak_queue_len = 0
@@ -100,55 +110,6 @@ class Engine:
     def process(self, generator: _t.Generator) -> Process:
         """Start a new simulated process running ``generator``."""
         return Process(self, generator)
-
-    def detach(self, generator: _t.Generator) -> None:
-        """Run ``generator`` as a fire-and-forget background task.
-
-        Semantically equivalent to :meth:`process` for a task whose
-        completion nobody waits on — same start scheduling, same
-        deadlock accounting — but without allocating the
-        :class:`~repro.sim.process.Process` event pair, so schedules
-        stay bit-identical while background messaging (eager
-        deliveries, rendezvous envelopes) gets cheaper.  Unlike a
-        process, a detached task has no handle: an exception escaping
-        the generator propagates out of :meth:`step`.
-        """
-        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
-            raise TypeError(
-                f"detach requires a generator, got {type(generator).__name__}"
-            )
-        self._live_processes += 1
-        self.processes_spawned += 1
-
-        def _drive(entry: _t.Any) -> None:
-            try:
-                if entry._ok:
-                    target = generator.send(entry._value)
-                else:
-                    target = generator.throw(entry._value)
-            except StopIteration:
-                self._live_processes -= 1
-                return
-            except BaseException:
-                self._live_processes -= 1
-                raise
-            if not isinstance(target, Event) or target.env is not self:
-                self._live_processes -= 1
-                generator.close()
-                raise SimulationError(
-                    f"detached task yielded {target!r}; tasks must yield "
-                    "events of their own engine"
-                )
-            callbacks = target.callbacks
-            if callbacks is None:
-                self._schedule_call(_drive, target._ok, target._value)
-            else:
-                callbacks.append(_drive)
-
-        self._seq += 1
-        heapq.heappush(
-            self._queue, (self._now, self._seq, _Call(_drive, True, None))
-        )
 
     def all_of(self, events: _t.Iterable[Event]) -> AllOf:
         """An event that triggers when all ``events`` have succeeded."""
@@ -176,15 +137,16 @@ class Engine:
     def _schedule_call(
         self,
         fn: _t.Callable,
-        ok: bool | None,
-        value: _t.Any,
         delay: float = 0.0,
+        ok: bool | None = True,
+        value: _t.Any = None,
     ) -> None:
         """Schedule a bare callback at the position an event would take.
 
         Consumes one sequence number, exactly like :meth:`_schedule`,
         so fast-path calls interleave with events in the same order a
-        relay event would have produced.
+        relay event would have produced.  Callback chains push every
+        step this way.
         """
         self._seq += 1
         heapq.heappush(
@@ -268,7 +230,8 @@ class Engine:
         ``events_processed``
             heap entries executed (events plus fast-path calls);
         ``processes_spawned``
-            processes started, detached background tasks included;
+            processes started, callback chains included (a simulated
+            message starts two: its courier and its transfer);
         ``peak_queue_len``
             high-water mark of the event heap.
         """

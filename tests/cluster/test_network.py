@@ -128,12 +128,59 @@ class TestTransfers:
         with pytest.raises(ConfigurationError):
             net.transfer(0, 1, -10)
 
+    def test_tx_waiters_rise_then_drain(self):
+        eng, net = make_net(latency_s=0.0)
+        nbytes = net.spec.effective_bandwidth  # 1 s each
+        done = [net.transfer(0, dst, nbytes) for dst in (1, 2, 3)]
+        assert net.tx_queue_length(0) == 0  # nothing has started yet
+        eng.run(until=0.5)
+        assert net.tx_queue_length(0) == 2
+        eng.run(until=1.5)
+        assert net.tx_queue_length(0) == 1
+        eng.run(until=eng.all_of(done))
+        assert eng.now == pytest.approx(3.0)
+        assert net.tx_queue_length(0) == 0
+        assert [net.rx_queue_length(p) for p in range(4)] == [0, 0, 0, 0]
+
+    def test_rx_waiters_rise_then_drain(self):
+        eng, net = make_net(latency_s=0.0)
+        nbytes = net.spec.effective_bandwidth
+        done = [net.transfer(src, 0, nbytes) for src in (1, 2, 3)]
+        eng.run(until=0.5)
+        assert net.rx_queue_length(0) == 2
+        assert [net.tx_queue_length(p) for p in range(4)] == [0, 0, 0, 0]
+        eng.run(until=2.5)
+        assert net.rx_queue_length(0) == 0
+        eng.run(until=eng.all_of(done))
+        assert eng.now == pytest.approx(3.0)
+
     def test_uncontended_transfer_time_closed_form(self):
         eng, net = make_net(latency_s=70e-6)
         bw = net.spec.effective_bandwidth
         assert net.uncontended_transfer_time(bw / 2) == pytest.approx(
             70e-6 + 0.5
         )
+
+
+class TestTransferChain:
+    def test_remote_transfer_is_six_heap_entries_and_one_process(self):
+        eng, net = make_net()
+        done = net.transfer(0, 1, 1000)
+        assert eng.stats()["processes_spawned"] == 1
+        assert eng._live_processes == 1
+        eng.run(until=done)
+        # start, TX grant, RX grant, wire, latency, completion
+        assert eng.stats()["events_processed"] == 6
+        assert eng._live_processes == 0
+
+    def test_local_copy_is_three_heap_entries(self):
+        eng, net = make_net()
+        done = net.transfer(1, 1, 1000)
+        eng.run(until=done)
+        # start, copy, completion
+        assert eng.stats()["events_processed"] == 3
+        assert eng.stats()["processes_spawned"] == 1
+        assert eng._live_processes == 0
 
 
 class TestCongestion:

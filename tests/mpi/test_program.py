@@ -269,3 +269,18 @@ class TestDeadlockDiagnostics:
         assert "deadlock diagnostics" in message
         assert "rank 0" in message and "rank 1" in message
         assert "(1, 42)" in message  # the posted recv that never matched
+
+    def test_unmatched_rendezvous_send_is_a_deadlock(self):
+        cluster = paper_cluster(2)
+
+        def program(ctx):
+            if ctx.rank == 0:
+                yield from ctx.send(1, 16384)  # waits for a clear-to-send
+            else:
+                yield from ctx.compute_seconds(1.0)
+
+        with pytest.raises(DeadlockError) as excinfo:
+            run_program(cluster, program)
+        # Only the sender is blocked: the envelope has arrived.
+        assert "with 1 live process(es)" in str(excinfo.value)
+        assert "rank 1: alive=False" in str(excinfo.value)

@@ -1,7 +1,7 @@
 """Golden-value bit-identity tests for campaign cells.
 
 The engine fast paths (direct ``_Call`` heap entries, inlined
-``Timeout`` scheduling, detached background tasks, memoized power
+``Timeout`` scheduling, transfers as heap-call chains, memoized power
 lookups) are all justified by one invariant: they change *nothing*
 about the simulated schedule, so every cell's (elapsed_s, energy_j)
 must stay bit-identical to the values the unoptimized simulator

@@ -10,11 +10,7 @@ rewrite touched.
 
 import pytest
 
-from repro.errors import (
-    ConfigurationError,
-    DeadlockError,
-    SimulationError,
-)
+from repro.errors import ConfigurationError, SimulationError
 from repro.sim import Engine
 from repro.sim.events import Event, Timeout, _Call
 
@@ -106,36 +102,6 @@ class TestTimeoutFastPath:
         assert entry._ok is True and entry._value == "early"
         eng.run()
         assert proc.value == "early"
-
-
-class TestDetach:
-    def test_detached_task_runs_to_completion(self):
-        eng = Engine()
-        seen = []
-
-        def task(env):
-            yield Timeout(env, 2.0)
-            seen.append(env.now)
-
-        eng.detach(task(eng))
-        eng.run()
-        assert seen == [2.0]
-        assert eng.stats()["processes_spawned"] == 1
-
-    def test_detach_rejects_non_generator(self):
-        eng = Engine()
-        with pytest.raises(TypeError, match="generator"):
-            eng.detach(lambda: None)
-
-    def test_blocked_detached_task_counts_as_deadlock(self):
-        eng = Engine()
-
-        def task(env):
-            yield Event(env)  # never triggered
-
-        eng.detach(task(eng))
-        with pytest.raises(DeadlockError):
-            eng.run()
 
 
 class TestStatsCounters:
