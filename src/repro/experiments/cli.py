@@ -144,19 +144,18 @@ def _print_runtime_stats() -> None:
     """Per-cell timing, cache-hit and fault metrics for the command."""
     from repro.runtime.metrics import METRICS
 
-    if METRICS.records:
+    if METRICS.campaigns:
         print(f"[campaign runtime] {METRICS.summary_line()}")
-    for record in METRICS.records:
-        for failure in record.failures:
-            cell = failure.get("cell", ["?", 0.0])
-            try:
-                where = f"n={cell[0]}, f={float(cell[1]) / 1e6:.0f} MHz"
-            except (TypeError, ValueError, IndexError):
-                where = repr(cell)
-            print(
-                f"[campaign runtime] {record.label}: FAILED cell "
-                f"({where}): {failure.get('error', 'unknown error')}"
-            )
+    for label, failure in METRICS.failures:
+        cell = failure.get("cell", ["?", 0.0])
+        try:
+            where = f"n={cell[0]}, f={float(cell[1]) / 1e6:.0f} MHz"
+        except (TypeError, ValueError, IndexError):
+            where = repr(cell)
+        print(
+            f"[campaign runtime] {label}: FAILED cell "
+            f"({where}): {failure.get('error', 'unknown error')}"
+        )
 
 
 def _cmd_list(_args: argparse.Namespace) -> int:

@@ -9,10 +9,12 @@ is wasted work.
 
 Execution is delegated to :mod:`repro.runtime`: cells fan out across a
 process pool when it pays off, and results are cached in two tiers —
-a per-process dict plus a content-addressed on-disk cache under
-``.repro_cache/`` that survives process restarts.  Campaigns measured
-on ``spec``-overridden platforms are cached too (the key includes a
-digest of every spec field), so ablations only ever simulate once.
+a per-process LRU of the :data:`CAMPAIGN_CACHE_ENTRIES` most recently
+used campaigns, whose misses fall through to a content-addressed
+on-disk cache under ``.repro_cache/`` that survives process restarts.
+Campaigns measured on ``spec``-overridden platforms are cached too
+(the key includes a digest of every spec field), so ablations only
+ever simulate once.
 
 Three steps on a campaign's cache key are the only code that touches
 the cache tiers or writes campaign records: :func:`lookup_campaign`
@@ -33,9 +35,11 @@ from repro.cluster.machine import ClusterSpec, paper_spec
 from repro.errors import CampaignExecutionError, ConfigurationError
 from repro.core.measurements import TimingCampaign
 from repro.npb.base import BenchmarkModel
+from repro.runtime.memcache import LRUCache
 from repro.units import mhz
 
 __all__ = [
+    "CAMPAIGN_CACHE_ENTRIES",
     "PAPER_COUNTS",
     "PAPER_FREQUENCIES",
     "measure_campaign",
@@ -44,6 +48,7 @@ __all__ = [
     "run_cells",
     "store_campaign",
     "clear_campaign_cache",
+    "campaign_cache_stats",
 ]
 
 #: The processor counts of the paper's tables (powers of two to 16).
@@ -54,7 +59,11 @@ PAPER_FREQUENCIES: tuple[float, ...] = tuple(
     mhz(m) for m in (600, 800, 1000, 1200, 1400)
 )
 
-_CACHE: dict[tuple, TimingCampaign] = {}
+#: Campaigns the per-process memory tier keeps; a long-lived server
+#: measuring ever-new grids would otherwise grow without limit.
+CAMPAIGN_CACHE_ENTRIES = 256
+
+_CACHE = LRUCache(CAMPAIGN_CACHE_ENTRIES)
 
 _DEFAULT_SPEC_DIGEST: str | None = None
 
@@ -149,7 +158,7 @@ def lookup_campaign(
         )
         if campaign is None:
             return None
-        _CACHE[key] = campaign
+        _CACHE.put(key, campaign)
         source = "disk"
     runtime.METRICS.record(
         runtime.CampaignRecord(
@@ -241,7 +250,7 @@ def store_campaign(
     key: tuple, campaign: TimingCampaign, settings: runtime.Settings
 ) -> None:
     """Write a complete campaign to both cache tiers under ``key``."""
-    _CACHE[key] = campaign
+    _CACHE.put(key, campaign)
     if settings.disk_cache:
         runtime.disk_cache(settings).put(
             runtime.campaign_digest(*key), campaign
@@ -374,3 +383,8 @@ def clear_campaign_cache() -> None:
     settings = runtime.settings()
     if settings.disk_cache or settings.cache_dir.exists():
         runtime.disk_cache(settings).clear()
+
+
+def campaign_cache_stats() -> dict[str, int]:
+    """Size, bound and hit/miss/eviction counters of the memory tier."""
+    return _CACHE.stats()

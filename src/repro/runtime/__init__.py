@@ -2,7 +2,7 @@
 
 This subsystem turns :func:`repro.experiments.platform.
 measure_campaign` from a serial, per-process-cached loop into a
-runtime with four layers:
+runtime with five layers:
 
 * :mod:`repro.runtime.runner` — fans grid cells out over a persistent
   process pool, merges results deterministically, and survives worker
@@ -12,11 +12,14 @@ runtime with four layers:
   under ``.repro_cache/`` with checksummed, quarantine-on-corruption
   entries and a bounded LRU footprint, so *warm processes skip
   simulation entirely*.
+* :mod:`repro.runtime.memcache` — the bounded LRU behind the
+  per-process memory tier (and the service's response cache).
 * :mod:`repro.runtime.metrics` — per-cell timing, cache-hit and
-  fault-tolerance counters for the benchmark harness.
+  fault-tolerance counters for the benchmark harness, keeping only
+  the most recent campaign records.
 * :mod:`repro.runtime.faults` — a deterministic, seeded
-  fault-injection harness (``REPRO_FAULTS``) that makes the other
-  three testable.
+  fault-injection harness (``REPRO_FAULTS``) that makes the runner,
+  the disk cache and the metrics testable.
 
 There is one campaign path.  :func:`execute_cells` (and
 :func:`execute_campaign`, its full-grid form) only execute, on the

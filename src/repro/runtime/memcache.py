@@ -1,12 +1,14 @@
-"""Bounded in-process LRU cache — the tier in front of the disk cache.
+"""Bounded in-process LRU cache, for the memory tiers of long-lived
+processes.
 
-The campaign runtime already has two tiers: an unbounded per-process
-dict keyed by campaign identity and the persistent, content-addressed
-:class:`~repro.runtime.diskcache.DiskCache`.  A long-lived server
-needs a third: a *bounded* map from request keys to fully-rendered
-response payloads, so repeated traffic is served without re-rendering
-(or re-reading disk) and memory stays capped no matter how varied the
-traffic gets.
+Two tiers use it.  The campaign runtime's memory tier
+(:mod:`repro.experiments.platform`) holds recently used campaigns in
+front of the persistent, content-addressed
+:class:`~repro.runtime.diskcache.DiskCache`; a miss falls through to
+disk.  The service's response cache (:mod:`repro.service.server`)
+maps request keys to fully-rendered response payloads, so repeated
+traffic is served without re-rendering.  Both stay capped no matter
+how varied the traffic gets.
 
 The implementation is an ``OrderedDict`` under a lock (service job
 threads populate it while the event loop reads it) with hit / miss /
@@ -19,10 +21,7 @@ import collections
 import threading
 import typing as _t
 
-__all__ = ["DEFAULT_MAX_ENTRIES", "LRUCache"]
-
-#: Default response-cache bound (REPRO_SERVE_CACHE_ENTRIES overrides).
-DEFAULT_MAX_ENTRIES = 512
+__all__ = ["LRUCache"]
 
 _MISSING: _t.Any = object()
 
@@ -37,7 +36,7 @@ class LRUCache:
         recently *used* (read or written) entries.
     """
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
+    def __init__(self, max_entries: int) -> None:
         self.max_entries = max(1, int(max_entries))
         self._lock = threading.Lock()
         self._entries: collections.OrderedDict[_t.Any, _t.Any] = (

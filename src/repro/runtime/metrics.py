@@ -9,20 +9,30 @@ cells were actually simulated, how many came from each cache tier,
 how long the simulated cells took, and what the fault-tolerance layer
 had to absorb (retries, timeouts, crash recoveries, permanently
 failed cells).
+
+The counters cover every record ever written, but the registry keeps
+only the :data:`MAX_RECORDS` most recent records themselves (and every
+failed cell's report), so a long-running server's metrics stay flat.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import dataclasses
 import threading
 import typing as _t
 
 __all__ = [
+    "MAX_RECORDS",
     "CampaignRecord",
     "MetricsRegistry",
     "campaign_metrics",
     "reset_campaign_metrics",
 ]
+
+#: Campaign records the registry keeps, oldest dropped first.
+MAX_RECORDS = 64
 
 
 @dataclasses.dataclass
@@ -152,7 +162,16 @@ class MetricsRegistry:
         # The service records campaigns from worker threads; the lock
         # keeps the aggregate counters exact under that concurrency.
         self._lock = threading.Lock()
-        self.records: list[CampaignRecord] = []
+        self._local = threading.local()
+        #: The most recent records, oldest first.
+        self.records: collections.deque[CampaignRecord] = (
+            collections.deque(maxlen=MAX_RECORDS)
+        )
+        #: Records ever written (``records`` keeps the newest).
+        self.campaigns = 0
+        #: ``(label, failure report)`` of every failed cell, kept
+        #: beside the ring so no failure drops out of a long session.
+        self.failures: list[tuple[str, dict[str, _t.Any]]] = []
         self.memory_hits = 0
         self.disk_hits = 0
         self.simulated_campaigns = 0
@@ -185,9 +204,17 @@ class MetricsRegistry:
         self.simulated_cell_wall_s = 0.0
 
     def record(self, record: CampaignRecord) -> None:
-        """Append one campaign record and update the aggregates."""
+        """Append one campaign record and update the aggregates (and
+        the calling thread's :meth:`capture` list, if one is open)."""
+        sink = getattr(self._local, "sink", None)
+        if sink is not None:
+            sink.append(record)
         with self._lock:
             self.records.append(record)
+            self.campaigns += 1
+            self.failures.extend(
+                (record.label, failure) for failure in record.failures
+            )
             if record.source == "memory":
                 self.memory_hits += 1
             elif record.source == "disk":
@@ -214,6 +241,21 @@ class MetricsRegistry:
             if record.peak_queue_len > self.peak_queue_len:
                 self.peak_queue_len = record.peak_queue_len
             self.simulated_cell_wall_s += sum(record.cell_wall_s)
+
+    @contextlib.contextmanager
+    def capture(self) -> _t.Iterator[list[CampaignRecord]]:
+        """Collect the records the calling thread writes in the block.
+
+        A service job reads its own campaign's record from here: a
+        concurrent job's record, even under the same label, is written
+        on another thread and never lands in this list.
+        """
+        outer = getattr(self._local, "sink", None)
+        self._local.sink = sink = []
+        try:
+            yield sink
+        finally:
+            self._local.sink = outer
 
     def record_plan(
         self, planned: int, deduped: int, executed: int
@@ -248,13 +290,19 @@ class MetricsRegistry:
         ``disk_cache`` reports the *per-process* disk-cache counters
         (:func:`repro.runtime.diskcache.cache_stats`) — unlike the
         per-campaign ``disk_hits``, they also count misses, LRU
-        evictions and quarantined entries.
+        evictions and quarantined entries.  ``campaigns`` counts every
+        record written; ``records`` holds the most recent
+        :data:`MAX_RECORDS`, and ``record_ring`` reports their count,
+        bound and how many older ones were dropped.
         """
         from repro.runtime.diskcache import cache_stats
 
+        with self._lock:
+            records = [r.as_dict() for r in self.records]
+            campaigns = self.campaigns
         return {
             "disk_cache": cache_stats(),
-            "campaigns": len(self.records),
+            "campaigns": campaigns,
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
             "simulated_campaigns": self.simulated_campaigns,
@@ -277,7 +325,12 @@ class MetricsRegistry:
             "processes_spawned": self.total_processes_spawned,
             "peak_queue_len": self.peak_queue_len,
             "events_per_second": self.events_per_second,
-            "records": [r.as_dict() for r in self.records],
+            "records": records,
+            "record_ring": {
+                "entries": len(records),
+                "max_entries": self.records.maxlen,
+                "evictions": campaigns - len(records),
+            },
         }
 
     def summary_line(self) -> str:
@@ -287,7 +340,7 @@ class MetricsRegistry:
         went wrong, so clean runs keep the familiar short line.
         """
         line = (
-            f"{len(self.records)} campaigns: "
+            f"{self.campaigns} campaigns: "
             f"{self.simulated_cells} cells simulated in "
             f"{self.simulated_wall_s:.2f}s, "
         )

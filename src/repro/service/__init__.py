@@ -21,7 +21,7 @@ The workload is asymmetric, and the service is shaped around that:
   /campaign`` submits a background job (:mod:`repro.service.jobs`)
   onto the fault-tolerant :mod:`repro.runtime` pool, deduplicated
   against running jobs, a bounded in-process LRU
-  (:mod:`repro.service.memcache`) and the persistent
+  (:mod:`repro.runtime.memcache`) and the persistent
   :class:`~repro.runtime.diskcache.DiskCache`.  ``GET /jobs/<id>``
   reports status plus the runtime's retry/attempt history.
 
@@ -48,10 +48,10 @@ constructed.  Both read the environment through
 all.
 """
 
+from repro.runtime.memcache import LRUCache
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.coalesce import Coalescer, PredictBatcher
 from repro.service.jobs import Job, JobManager, JobQueueFullError
-from repro.service.memcache import LRUCache
 from repro.service.server import (
     ReproService,
     ServiceConfig,

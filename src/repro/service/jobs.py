@@ -13,9 +13,10 @@ underneath).  The manager provides the serving-side guarantees:
   key with an active job returns that job instead of a new one;
 * **cancellation** — queued jobs are cancelled outright; running jobs
   get a cooperative ``cancel_requested`` flag;
-* **TTL'd retention** — finished jobs stay queryable for ``ttl_s``
-  seconds, then are purged so a long-lived server cannot leak
-  completed-job state;
+* **bounded retention** — a finished job stays queryable for ``ttl_s``
+  seconds or until :data:`FINISHED_PER_SLOT` × ``max_queue`` newer
+  jobs have finished, whichever comes first, so a long-lived server
+  holds a bounded number of results however fast jobs finish;
 * **graceful drain** — :meth:`JobManager.drain` stops admission and
   waits for running jobs (the SIGTERM path).
 
@@ -25,12 +26,14 @@ Job state transitions: ``queued -> running -> done | failed``, or
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import threading
 import time
 import typing as _t
 
 __all__ = [
+    "FINISHED_PER_SLOT",
     "Job",
     "JobManager",
     "JobQueueFullError",
@@ -41,6 +44,9 @@ __all__ = [
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 
 _ACTIVE = ("queued", "running")
+
+#: Finished jobs retained per job-queue slot (``max_queue``).
+FINISHED_PER_SLOT = 4
 
 
 class JobQueueFullError(RuntimeError):
@@ -115,10 +121,14 @@ class JobManager:
         import concurrent.futures
 
         self.max_queue = max(1, int(max_queue))
+        self.max_finished = FINISHED_PER_SLOT * self.max_queue
         self.ttl_s = max(0.0, float(ttl_s))
         self._lock = threading.Lock()
-        self._jobs: dict[str, Job] = {}
-        self._order: list[str] = []  # insertion order, for purge + list
+        self._jobs: dict[str, Job] = {}  # every retained job, oldest first
+        # Finished jobs in finish order: the TTL and the count bound
+        # both drop from the old end.
+        self._finished: collections.deque[Job] = collections.deque()
+        self._statuses: collections.Counter[str] = collections.Counter()
         self._by_key: dict[str, str] = {}  # key -> active job id
         self._futures: dict[str, _t.Any] = {}
         self._executor = concurrent.futures.ThreadPoolExecutor(
@@ -134,6 +144,8 @@ class JobManager:
         self.failed = 0
         self.cancelled = 0
         self.expired = 0
+        #: Finished jobs dropped by the count bound before their TTL.
+        self.evictions = 0
 
     # -- submission -----------------------------------------------------------
 
@@ -153,18 +165,14 @@ class JobManager:
             self.purge_expired()
             active_id = self._by_key.get(key)
             if active_id is not None:
-                job = self._jobs.get(active_id)
-                if job is not None and job.status in _ACTIVE:
-                    self.coalesced += 1
-                    return job, False
+                self.coalesced += 1
+                return self._jobs[active_id], False
             if self._draining:
                 self.rejected += 1
                 raise JobQueueFullError(
                     "service is draining; not accepting new jobs"
                 )
-            active = sum(
-                1 for j in self._jobs.values() if j.status in _ACTIVE
-            )
+            active = self._active()
             if active >= self.max_queue:
                 self.rejected += 1
                 raise JobQueueFullError(
@@ -180,7 +188,7 @@ class JobManager:
                 submitted_s=time.time(),
             )
             self._jobs[job.id] = job
-            self._order.append(job.id)
+            self._statuses[job.status] += 1
             self._by_key[key] = job.id
             self.submitted += 1
             future = self._executor.submit(self._run, job, fn)
@@ -191,31 +199,49 @@ class JobManager:
         with self._lock:
             if job.status == "cancelled":
                 return
-            job.status = "running"
+            self._set_status(job, "running")
             job.started_s = time.time()
         try:
             result = fn(job)
         except Exception as exc:
             with self._lock:
-                job.status = "failed"
                 job.error = str(exc)
                 job.error_type = type(exc).__name__
-                job.finished_s = time.time()
                 self.failed += 1
-                self._release(job)
+                self._finish(job, "failed")
         else:
             with self._lock:
-                job.status = "done"
                 job.result = result
-                job.finished_s = time.time()
                 self.completed += 1
-                self._release(job)
+                self._finish(job, "done")
 
-    def _release(self, job: Job) -> None:
-        """Drop the active-key index entry (lock held by caller)."""
+    def _set_status(self, job: Job, status: str) -> None:
+        """Move ``job`` to ``status``, keeping the counts (lock held)."""
+        self._statuses[job.status] -= 1
+        self._statuses[status] += 1
+        job.status = status
+
+    def _finish(self, job: Job, status: str) -> None:
+        """Give ``job`` its final ``status`` and retain it as the newest
+        finished job, evicting the oldest past the bound (lock held)."""
+        self._set_status(job, status)
+        job.finished_s = time.time()
         if self._by_key.get(job.key) == job.id:
             del self._by_key[job.key]
         self._futures.pop(job.id, None)
+        self._finished.append(job)
+        while len(self._finished) > self.max_finished:
+            self._drop(self._finished.popleft())
+            self.evictions += 1
+
+    def _drop(self, job: Job) -> None:
+        """Forget a finished job (lock held)."""
+        del self._jobs[job.id]
+        self._statuses[job.status] -= 1
+
+    def _active(self) -> int:
+        """Jobs queued or running (lock held)."""
+        return sum(self._statuses[status] for status in _ACTIVE)
 
     # -- queries ---------------------------------------------------------------
 
@@ -227,7 +253,7 @@ class JobManager:
             if job is None:
                 raise UnknownJobError(
                     f"unknown job {job_id!r} (never submitted, or "
-                    "expired past the result TTL)"
+                    "dropped past the result TTL or retention bound)"
                 )
             return job
 
@@ -235,14 +261,12 @@ class JobManager:
         """Every retained job, oldest first."""
         with self._lock:
             self.purge_expired()
-            return [self._jobs[jid] for jid in self._order]
+            return list(self._jobs.values())
 
     def active_count(self) -> int:
         """Jobs currently queued or running."""
         with self._lock:
-            return sum(
-                1 for j in self._jobs.values() if j.status in _ACTIVE
-            )
+            return self._active()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -265,10 +289,8 @@ class JobManager:
                 and future is not None
                 and future.cancel()
             ):
-                job.status = "cancelled"
-                job.finished_s = time.time()
                 self.cancelled += 1
-                self._release(job)
+                self._finish(job, "cancelled")
             return job
 
     def purge(self, now: float | None = None) -> int:
@@ -284,21 +306,22 @@ class JobManager:
 
     def purge_expired(self, now: float | None = None) -> int:
         """Drop finished jobs older than the TTL (lock held by caller
-        when invoked internally; use :meth:`purge` standalone)."""
+        when invoked internally; use :meth:`purge` standalone).
+
+        Finished jobs are held in finish order, so the expired ones
+        are the oldest and the purge stops at the first live one.
+        """
         if self.ttl_s <= 0:
             return 0
         now = time.time() if now is None else now
         removed = 0
-        for job_id in list(self._order):
-            job = self._jobs[job_id]
-            if job.status in _ACTIVE or job.finished_s is None:
-                continue
-            if now - job.finished_s > self.ttl_s:
-                del self._jobs[job_id]
-                self._order.remove(job_id)
-                self._futures.pop(job_id, None)
-                removed += 1
-                self.expired += 1
+        while (
+            self._finished
+            and now - self._finished[0].finished_s > self.ttl_s
+        ):
+            self._drop(self._finished.popleft())
+            removed += 1
+        self.expired += removed
         return removed
 
     async def drain(self, timeout_s: float = 30.0) -> bool:
@@ -314,10 +337,8 @@ class JobManager:
             for job_id, future in list(self._futures.items()):
                 job = self._jobs[job_id]
                 if job.status == "queued" and future.cancel():
-                    job.status = "cancelled"
-                    job.finished_s = time.time()
                     self.cancelled += 1
-                    self._release(job)
+                    self._finish(job, "cancelled")
         deadline = time.monotonic() + max(0.0, timeout_s)
         while self.active_count() > 0:
             if time.monotonic() >= deadline:
@@ -335,11 +356,14 @@ class JobManager:
         return self._draining
 
     def stats(self) -> dict[str, _t.Any]:
-        """JSON-ready counters for the ``/metrics`` endpoint."""
+        """JSON-ready counters for the ``/metrics`` endpoint.
+
+        ``finished`` reports the retention bound in the shape of
+        :meth:`repro.runtime.memcache.LRUCache.stats`: finished jobs
+        held, the most that are held, and how many the bound dropped
+        before their TTL (``expired`` counts the TTL's drops).
+        """
         with self._lock:
-            by_status: dict[str, int] = {}
-            for job in self._jobs.values():
-                by_status[job.status] = by_status.get(job.status, 0) + 1
             return {
                 "submitted": self.submitted,
                 "coalesced": self.coalesced,
@@ -349,7 +373,16 @@ class JobManager:
                 "cancelled": self.cancelled,
                 "expired": self.expired,
                 "retained": len(self._jobs),
-                "by_status": by_status,
+                "by_status": {
+                    status: count
+                    for status, count in self._statuses.items()
+                    if count
+                },
+                "finished": {
+                    "entries": len(self._finished),
+                    "max_entries": self.max_finished,
+                    "evictions": self.evictions,
+                },
                 "max_queue": self.max_queue,
                 "result_ttl_s": self.ttl_s,
                 "draining": self._draining,

@@ -9,7 +9,7 @@ process needs:
   keeps serving — and single-flighted so a thundering herd fits once;
 * a :class:`~repro.service.coalesce.Coalescer` +
   :class:`~repro.service.coalesce.PredictBatcher` pair for ``/predict``
-  and a bounded :class:`~repro.service.memcache.LRUCache` of rendered
+  and a bounded :class:`~repro.runtime.memcache.LRUCache` of rendered
   responses in front of the campaign disk cache;
 * one job path for ``POST /campaign``, ``/govern``, ``/optimize``
   and ``/experiments/<id>``: the body becomes a typed request
@@ -61,7 +61,8 @@ import time
 import typing as _t
 
 from repro.errors import ConfigurationError, ReproError
-from repro.service import coalesce, jobs as jobs_mod, memcache, protocol
+from repro.runtime.memcache import LRUCache
+from repro.service import coalesce, jobs as jobs_mod, protocol
 from repro.settings import env_values, flag, knob, settings
 
 __all__ = [
@@ -77,6 +78,8 @@ __all__ = [
 
 DEFAULT_HOST = "127.0.0.1"
 DEFAULT_PORT = 8642
+#: Response-cache bound (``REPRO_SERVE_CACHE_ENTRIES`` overrides).
+DEFAULT_CACHE_ENTRIES = 512
 
 #: Per-model fitting grids (LU follows the paper's N <= 8, matching
 #: the edp experiment).
@@ -112,7 +115,7 @@ class ServiceConfig:
     max_queue: int = knob("REPRO_SERVE_QUEUE", int, 64)
     result_ttl_s: float = knob("REPRO_SERVE_RESULT_TTL", float, 900.0)
     cache_entries: int = knob(
-        "REPRO_SERVE_CACHE_ENTRIES", int, memcache.DEFAULT_MAX_ENTRIES
+        "REPRO_SERVE_CACHE_ENTRIES", int, DEFAULT_CACHE_ENTRIES
     )
     allow_faults: bool = knob("REPRO_SERVE_ALLOW_FAULTS", flag, False)
     drain_timeout_s: float = 30.0
@@ -154,7 +157,7 @@ class ReproService:
         #: Runtime settings resolved once, at construction: ``/predict``
         #: reads its default platform here, never per request.
         self.settings = settings()
-        self.responses = memcache.LRUCache(self.config.cache_entries)
+        self.responses = LRUCache(self.config.cache_entries)
         self.predict_coalescer = coalesce.Coalescer()
         self.fit_coalescer = coalesce.Coalescer()
         self.batcher = coalesce.PredictBatcher()
@@ -355,7 +358,9 @@ class ReproService:
     ) -> tuple[int, _t.Any]:
         """Route one request; all error mapping happens here."""
         self.requests_total += 1
-        route = f"{request.method} {request.path}"
+        # ``by_endpoint`` counts route templates, so ids add no keys;
+        # requests no route handles (404, 405) share one bucket.
+        route = "unmatched"
         try:
             # ``/jobs/x/cancel`` -> ``/jobs/<id>/cancel`` with ``("x",)``.
             parts = request.path.split("/", 3)
@@ -374,6 +379,7 @@ class ReproService:
                 return 404, protocol.error_payload(
                     "not_found", f"unknown path {request.path!r}"
                 )
+            route = f"{request.method} {path}"
             result = handler(request, *args)
             if inspect.isawaitable(result):
                 result = await result
@@ -500,6 +506,7 @@ class ReproService:
             )
 
     def _metrics(self, _request: protocol.Request) -> tuple[int, _t.Any]:
+        from repro.experiments.platform import campaign_cache_stats
         from repro.runtime import campaign_metrics, server_process_context
 
         started = self.predict_coalescer.started
@@ -550,7 +557,10 @@ class ReproService:
                     else None
                 ),
             },
-            "campaign_runtime": campaign_metrics(),
+            "campaign_runtime": {
+                **campaign_metrics(),
+                "memory_cache": campaign_cache_stats(),
+            },
         }
 
     def _parse_platform(self, body: dict) -> str:
@@ -714,17 +724,12 @@ class ReproService:
             if cached is not None:
                 job.runtime = {"source": "service-cache"}
                 return cached
-            before = len(METRICS.records)
-            document = compute()
+            with METRICS.capture() as written:
+                document = compute()
             # A campaign job's metrics record carries its label; other
             # kinds record nothing under theirs.
             record = next(
-                (
-                    r
-                    for r in reversed(METRICS.records[before:])
-                    if r.label == label
-                ),
-                None,
+                (r for r in reversed(written) if r.label == label), None
             )
             if record is not None:
                 job.runtime = record.as_dict()
@@ -1085,8 +1090,8 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         type=float,
         default=None,
         metavar="SECONDS",
-        help="finished-job retention (default: REPRO_SERVE_RESULT_TTL "
-        "or 900)",
+        help="finished-job retention; at most 4 x --queue finished jobs "
+        "are kept (default: REPRO_SERVE_RESULT_TTL or 900)",
     )
     parser.add_argument(
         "--cache-entries",
@@ -1095,7 +1100,7 @@ def add_serve_arguments(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="in-process response-cache bound "
         f"(default: REPRO_SERVE_CACHE_ENTRIES or "
-        f"{memcache.DEFAULT_MAX_ENTRIES})",
+        f"{DEFAULT_CACHE_ENTRIES})",
     )
     parser.add_argument(
         "--allow-faults",

@@ -13,6 +13,7 @@ from repro.experiments import cli, platform
 from repro.experiments.platform import measure_campaign
 from repro.npb import EPBenchmark, ProblemClass
 from repro.reporting import jsonify
+from repro.runtime.metrics import MAX_RECORDS
 from repro.service.protocol import parse_grid_key
 
 
@@ -277,6 +278,33 @@ def test_malformed_counts_exit_2(command, capsys):
     err = capsys.readouterr().err
     assert "--counts" in err
     assert "Traceback" not in err
+
+
+def test_failure_lines_survive_the_record_ring(capsys):
+    failure = {"cell": [2, 600e6], "error": "InjectedFaultError: boom"}
+    runtime.METRICS.record(
+        runtime.CampaignRecord(
+            label="ep.S",
+            source="simulated",
+            cells=2,
+            wall_s=0.0,
+            failed_cells=1,
+            failures=(failure,),
+        )
+    )
+    for _ in range(MAX_RECORDS + 1):
+        runtime.METRICS.record(
+            runtime.CampaignRecord(
+                label="ft.S", source="memory", cells=2, wall_s=0.0
+            )
+        )
+    cli._print_runtime_stats()
+    out = capsys.readouterr().out
+    assert f"{MAX_RECORDS + 2} campaigns" in out
+    assert (
+        "[campaign runtime] ep.S: FAILED cell (n=2, f=600 MHz): "
+        "InjectedFaultError: boom"
+    ) in out
 
 
 def test_malformed_setting_exits_2_naming_the_variable(monkeypatch, capsys):

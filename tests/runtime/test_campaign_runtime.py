@@ -20,6 +20,8 @@ from repro.runtime.diskcache import (
     benchmark_digest,
     spec_digest,
 )
+from repro.runtime.memcache import LRUCache
+from repro.runtime.metrics import MAX_RECORDS, MetricsRegistry
 from repro.units import mhz
 
 
@@ -131,6 +133,18 @@ class TestDiskCacheTier:
         cache = DiskCache(tmp_path)
         assert cache.get(entry.stem) is None
 
+    def test_memory_tier_evicts_least_recent_to_disk(self, monkeypatch):
+        monkeypatch.setattr(platform, "_CACHE", LRUCache(2))
+        ep = EPBenchmark(ProblemClass.S)
+        for m in (600, 800, 1000):
+            measure_campaign(ep, (1,), (mhz(m),))
+        stats = platform.campaign_cache_stats()
+        assert (stats["entries"], stats["max_entries"]) == (2, 2)
+        assert stats["evictions"] == 1
+        measure_campaign(ep, (1,), (mhz(600),))
+        record = runtime.campaign_metrics()["records"][-1]
+        assert record["source"] == "disk"
+
     def test_clear_campaign_cache_clears_both_tiers(self):
         ep = EPBenchmark(ProblemClass.S)
         measure_campaign(ep, (1,), (mhz(600),))
@@ -241,6 +255,29 @@ class TestMetrics:
         assert snapshot["memory_hits"] == 1
         assert snapshot["disk_hits"] == 1
         assert snapshot["simulated_cells"] == 1
+
+    def test_records_ring_keeps_the_newest(self):
+        registry = MetricsRegistry()
+        for index in range(MAX_RECORDS + 10):
+            registry.record(
+                runtime.CampaignRecord(
+                    label=f"c{index}", source="simulated", cells=1, wall_s=0.0
+                )
+            )
+        snapshot = registry.snapshot()
+        assert snapshot["campaigns"] == MAX_RECORDS + 10
+        assert snapshot["simulated_campaigns"] == MAX_RECORDS + 10
+        assert [r["label"] for r in snapshot["records"]] == [
+            f"c{index}" for index in range(10, MAX_RECORDS + 10)
+        ]
+        assert snapshot["record_ring"] == {
+            "entries": MAX_RECORDS,
+            "max_entries": MAX_RECORDS,
+            "evictions": 10,
+        }
+        assert registry.summary_line().startswith(
+            f"{MAX_RECORDS + 10} campaigns:"
+        )
 
     def test_reset(self):
         ep = EPBenchmark(ProblemClass.S)

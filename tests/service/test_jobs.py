@@ -2,12 +2,14 @@
 drain."""
 
 import asyncio
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.service.jobs import (
+    FINISHED_PER_SLOT,
     Job,
     JobManager,
     JobQueueFullError,
@@ -162,6 +164,42 @@ class TestRetention:
         finally:
             manager.shutdown()
 
+    @pytest.mark.parametrize("ttl_s", [900.0, 0.0])
+    def test_finished_jobs_bounded_by_queue_size(self, ttl_s):
+        manager = JobManager(max_workers=2, max_queue=2, ttl_s=ttl_s)
+        bound = FINISHED_PER_SLOT * 2
+        release = threading.Event()
+        try:
+            slow, _ = manager.submit(
+                "slow", "l", lambda job: release.wait(10) and {}
+            )
+            done = []
+            for index in range(bound + 3):
+                job, _ = manager.submit(f"k{index}", "l", lambda job: {})
+                wait_status(manager, job.id, ("done",))
+                done.append(job.id)
+            # The active job is never evicted; the oldest finished are.
+            assert [j.id for j in manager.jobs()] == [slow.id, *done[3:]]
+            with pytest.raises(UnknownJobError):
+                manager.job(done[0])
+            release.set()
+            wait_status(manager, slow.id, ("done",))
+            # Finishing makes it the newest finished job: still oldest
+            # in the listing, and it pushes one more out.
+            assert [j.id for j in manager.jobs()] == [slow.id, *done[4:]]
+            stats = manager.stats()
+            assert stats["finished"] == {
+                "entries": bound,
+                "max_entries": bound,
+                "evictions": 4,
+            }
+            assert stats["retained"] == bound
+            assert stats["by_status"] == {"done": bound}
+            assert stats["expired"] == 0
+        finally:
+            release.set()
+            manager.shutdown()
+
     def test_active_jobs_never_expire(self):
         manager = JobManager(max_workers=1, max_queue=8, ttl_s=0.01)
         release = threading.Event()
@@ -228,6 +266,53 @@ class TestStats:
         assert stats["by_status"] == {"done": 1}
         assert stats["max_queue"] == 8
         assert stats["draining"] is False
+
+    def test_counts_stay_exact_under_thread_churn(self):
+        """Many job threads and submitters finishing, failing and being
+        evicted at once leave every count consistent."""
+        manager = JobManager(max_workers=8, max_queue=4, ttl_s=900.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+
+        def fn(job):
+            if job.key.endswith("7"):
+                raise ValueError("boom")
+            return {}
+
+        def submitter(offset):
+            for index in range(200):
+                key = f"k{offset}-{index}"
+                while True:
+                    try:
+                        manager.submit(key, "l", fn)
+                        break
+                    except JobQueueFullError:
+                        time.sleep(0.0005)
+
+        try:
+            threads = [
+                threading.Thread(target=submitter, args=(offset,))
+                for offset in range(4)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            deadline = time.monotonic() + 30
+            while manager.active_count():
+                assert time.monotonic() < deadline
+                time.sleep(0.005)
+        finally:
+            sys.setswitchinterval(interval)
+            manager.shutdown()
+        stats = manager.stats()
+        assert stats["submitted"] == 800
+        assert stats["completed"] + stats["failed"] == 800
+        assert stats["failed"] == 80
+        assert stats["retained"] == stats["finished"]["entries"] == 16
+        assert sum(stats["by_status"].values()) == 16
+        assert stats["finished"]["evictions"] == 800 - 16
 
     def test_job_runtime_field_round_trips(self, manager):
         def fn(job: Job):

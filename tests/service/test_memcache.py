@@ -1,6 +1,6 @@
 """Bounded-LRU response cache tests."""
 
-from repro.service.memcache import LRUCache
+from repro.service import LRUCache
 
 
 class TestLRUCache:

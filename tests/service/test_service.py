@@ -178,6 +178,35 @@ class TestMetricsEndpoint:
         assert "disk_cache" in runtime
         assert runtime["simulated_campaigns"] >= 1
 
+    def test_by_endpoint_keys_are_route_templates(self, client):
+        ticket = client.submit_campaign(
+            "ep", "S", counts=[1], frequencies_mhz=[600]
+        )
+        client.wait_for_job(ticket["job_id"])
+        keys = None
+        for index in range(5):
+            client.job(ticket["job_id"])
+            for method, path in (
+                ("GET", f"/nope-{index}"),
+                ("GET", f"/jobs/job-{index}/nope"),
+                ("GET", f"/jobs/job-9{index}"),
+                ("PUT", "/healthz"),
+            ):
+                with pytest.raises(ServiceError):
+                    client.request(method, path)
+            by_endpoint = client.metrics()["service"]["requests"][
+                "by_endpoint"
+            ]
+            keys = keys or set(by_endpoint)
+            assert set(by_endpoint) == keys
+        assert keys == {
+            "POST /campaign",
+            "GET /jobs/<id>",
+            "GET /metrics",
+            "unmatched",
+        }
+        assert by_endpoint["unmatched"] == 15
+
 
 class TestConfig:
     def test_from_env(self, monkeypatch):
