@@ -59,7 +59,7 @@ class DvfsController:
             return
         delay = node.cpu_spec.dvfs_transition_s
         if delay > 0:
-            yield self.cluster.engine.timeout(delay)
+            yield float(delay)
             node.account_idle(delay)
         node.set_frequency(frequency_hz)
         self.transition_counts[node_id] = (

@@ -40,7 +40,7 @@ import typing as _t
 
 from repro.errors import ConfigurationError
 from repro.sim.engine import Engine
-from repro.sim.events import Event, _Call
+from repro.sim.events import Event
 from repro.units import mbit_per_s, mbyte_per_s
 
 __all__ = ["NetworkSpec", "SwitchedNetwork"]
@@ -170,21 +170,21 @@ class _Transfer:
         env.processes_spawned += 1
         env._schedule_call(self._copy if src == dst else self._request_tx)
 
-    def _copy(self, _call: _Call) -> None:
+    def _copy(self, _arg: None) -> None:
         net = self.net
         net.env._schedule_call(
             self._finish, float(self.nbytes / net.spec.local_copy_bytes_per_s)
         )
 
-    def _request_tx(self, _call: _Call) -> None:
+    def _request_tx(self, _arg: None) -> None:
         # TX before RX everywhere: nobody holds an RX port while
         # waiting for a TX port, so the ordering is deadlock-free.
         self.net._tx[self.src].request(self._request_rx)
 
-    def _request_rx(self, _call: _Call) -> None:
+    def _request_rx(self, _arg: None) -> None:
         self.net._rx[self.dst].request(self._clock_bytes)
 
-    def _clock_bytes(self, _call: _Call) -> None:
+    def _clock_bytes(self, _arg: None) -> None:
         net = self.net
         net._active_flows += 1
         flows = net._active_flows
@@ -193,7 +193,7 @@ class _Transfer:
             self._release, float(self.nbytes / net._bandwidth * penalty)
         )
 
-    def _release(self, _call: _Call) -> None:
+    def _release(self, _arg: None) -> None:
         # RX first, then TX: each release pushes the next waiter's
         # grant before the latency step is pushed.
         net = self.net
@@ -204,13 +204,13 @@ class _Transfer:
         # message is "in flight" and does not block subsequent traffic.
         net.env._schedule_call(self._arrive, net._latency)
 
-    def _arrive(self, call: _Call) -> None:
+    def _arrive(self, arg: None) -> None:
         net = self.net
         net.bytes_transferred += self.nbytes
         net.transfer_count += 1
-        self._finish(call)
+        self._finish(arg)
 
-    def _finish(self, _call: _Call) -> None:
+    def _finish(self, _arg: None) -> None:
         env = self.net.env
         env._live_processes -= 1
         done = self.done

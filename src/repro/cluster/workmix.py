@@ -56,7 +56,7 @@ class InstructionMix:
     def __post_init__(self) -> None:
         for name in self.LEVELS:
             value = getattr(self, name)
-            if value < 0:
+            if not value >= 0:  # not ``< 0``: NaN must fail too
                 raise ConfigurationError(
                     f"instruction count {name}={value} must be non-negative"
                 )

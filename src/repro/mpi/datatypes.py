@@ -49,7 +49,7 @@ class Message:
         payload: _t.Any = None,
         serial: int | None = None,
     ) -> None:
-        if nbytes < 0:
+        if not nbytes >= 0:  # not ``< 0``: NaN must fail too
             raise ConfigurationError(f"message size must be >= 0: {nbytes}")
         if tag < 0:
             raise ConfigurationError(f"tag must be >= 0: {tag}")

@@ -34,7 +34,7 @@ import typing as _t
 from repro.cluster.node import Node
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Communicator
 from repro.mpi.datatypes import Message
-from repro.sim.events import Event, Timeout, _Call
+from repro.sim.events import Event
 
 __all__ = ["send", "recv", "sendrecv"]
 
@@ -71,7 +71,7 @@ class _Courier:
             done.callbacks.append(self._complete_rendezvous)
             engine._schedule_call(self._fly_envelope)
 
-    def _transfer(self, _entry: _Call | Event) -> None:
+    def _transfer(self, _arg: Event | None) -> None:
         # An eager message's first step, or a rendezvous message's
         # clear-to-send callback.
         comm = self.comm
@@ -84,16 +84,16 @@ class _Courier:
             self._deliver_eager if self.done is None else self.done,
         )
 
-    def _deliver_eager(self, _call: _Call) -> None:
+    def _deliver_eager(self, _arg: None) -> None:
         comm = self.comm
         comm.matchers[self.message.dest].deliver_eager(self.message)
         comm.engine._live_processes -= 1
 
-    def _fly_envelope(self, _call: _Call) -> None:
+    def _fly_envelope(self, _arg: None) -> None:
         comm = self.comm
         comm.engine._schedule_call(self._announce, comm.network._latency)
 
-    def _announce(self, _call: _Call) -> None:
+    def _announce(self, _arg: None) -> None:
         comm = self.comm
         clear_to_send = Event(comm.engine)
         clear_to_send.callbacks.append(self._transfer)
@@ -136,7 +136,7 @@ def send(
     nbytes: float,
     tag: int = 0,
     payload: _t.Any = None,
-) -> _t.Generator[Event, _t.Any, Message]:
+) -> _t.Generator[Event | float, _t.Any, Message]:
     """Blocking send from ``source`` to ``dest``.
 
     Returns the sent :class:`~repro.mpi.datatypes.Message` (useful for
@@ -150,7 +150,7 @@ def send(
     message = Message(source, dest, tag, nbytes, payload)
     # Host CPU cost of initiating the message (copies, packetization).
     overhead = node.message_overhead_seconds(nbytes)
-    yield Timeout(comm.engine, overhead)
+    yield overhead
     rendezvous = launch(comm, node, message, overhead)
     if rendezvous is not None:
         yield rendezvous
@@ -162,7 +162,7 @@ def recv(
     rank: int,
     source: int = ANY_SOURCE,
     tag: int = ANY_TAG,
-) -> _t.Generator[Event, _t.Any, Message]:
+) -> _t.Generator[Event | float, _t.Any, Message]:
     """Blocking receive at ``rank``.
 
     ``source`` and ``tag`` accept the :data:`~repro.mpi.comm.ANY_SOURCE`
@@ -177,7 +177,7 @@ def recv(
     # Host CPU cost of draining the message out of the NIC buffers.
     node = comm._nodes[rank]
     overhead = node.message_overhead_seconds(message.nbytes)
-    yield Timeout(comm.engine, overhead)
+    yield overhead
     node.account_comm(overhead)
     return message
 

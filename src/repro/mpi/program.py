@@ -51,7 +51,6 @@ from repro.mpi import collectives as _coll
 from repro.mpi import p2p as _p2p
 from repro.mpi.comm import ANY_SOURCE, ANY_TAG, Communicator
 from repro.mpi.datatypes import Message
-from repro.sim.events import Timeout
 from repro.sim.trace import Tracer
 
 __all__ = ["RankContext", "RunResult", "run_program"]
@@ -133,7 +132,7 @@ class RankContext:
         engine = self.engine
         t0 = engine._now
         duration = self.node.execute_mix(mix)
-        yield Timeout(engine, duration)
+        yield duration
         if self.tracer is not None:
             self.tracer.record(
                 t0, engine._now, "compute", self.rank, self._phase, mix.total
@@ -144,13 +143,13 @@ class RankContext:
 
         Charged as COMPUTE energy but feeds no counters.
         """
-        if seconds < 0:
+        if not seconds >= 0:  # not ``< 0``: NaN must fail too
             raise ConfigurationError(f"seconds must be >= 0: {seconds}")
         t0 = self.engine.now
         self.node.energy.account(
             seconds, self.node.operating_point, PowerState.COMPUTE
         )
-        yield self.engine.timeout(seconds)
+        yield float(seconds)
         self._trace(t0, "compute")
 
     # -- sub-communicators --------------------------------------------------
@@ -248,7 +247,7 @@ class RankContext:
 
         # Host CPU cost of initiating the message (copies, packetization).
         overhead = node.message_overhead_seconds(nbytes)
-        yield Timeout(engine, overhead)
+        yield overhead
         rendezvous = _p2p.launch(comm, node, message, overhead)
         if rendezvous is not None:
             yield rendezvous
@@ -282,7 +281,7 @@ class RankContext:
         message: Message = yield delivered
         # Host CPU cost of draining the message out of the NIC buffers.
         overhead = node.message_overhead_seconds(message.nbytes)
-        yield Timeout(engine, overhead)
+        yield overhead
         node.account_comm(overhead)
         idle = (engine._now - t0) - (energy._s_comm - before)
         if idle > 0:

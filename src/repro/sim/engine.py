@@ -1,8 +1,9 @@
 """The discrete-event engine: simulated clock plus event queue.
 
-The engine owns a priority queue of ``(time, seq, entry)`` entries.
+The engine owns a priority queue of ``(time, seq, fn, arg)`` entries.
 :meth:`Engine.run` pops entries in time order, advances the clock and
-executes event callbacks, which typically resume simulated processes.
+calls ``fn(arg)``: event callbacks, or a direct resumption of a
+simulated process.
 
 Determinism
 -----------
@@ -11,24 +12,32 @@ number, so two runs of the same program produce identical schedules.
 Nothing in the engine consults wall-clock time or unseeded randomness —
 a property the test-suite checks (``tests/sim/test_determinism.py``).
 
-Fast-path entries
------------------
-Besides full :class:`~repro.sim.events.Event` objects, the heap accepts
-:class:`_Call` entries: a bare ``(callback, ok, value)`` triple that
-:meth:`Engine._schedule_call` places at exactly the position a relay
-event would have occupied.  Processes use this to schedule their bound
-``_resume`` directly — no Event allocation, no callback list, no state
-machine — which is the dominant cost of a simulation step.  Because a
-``_Call`` consumes one sequence number exactly where the equivalent
-event would have, replacing relay events with calls is *order
-preserving*: schedules (and therefore results) are bit-identical.
+Heap entries
+------------
+Every heap entry has one shape, ``(time, seq, fn, arg)``; the loop
+pops it, advances the clock and calls ``fn(arg)``.  An event's entry
+is ``(t, seq, _fire, event)``: its callbacks run inline in the loop.
+Everything else is a direct call that allocates no event:
+
+* a process start, ``(now, seq, process._resume, _RESUME_OK)``;
+* a join of an already-processed event, ``(now, seq,
+  process._resume, event)``;
+* a bare-delay sleep — a process yielding a ``float`` ``d`` —
+  ``(now + d, seq, process._resume, _RESUME_OK)``;
+* a callback-chain step, pushed by :meth:`Engine._schedule_call`.
+
+Each of them takes one sequence number at exactly the point where the
+event it replaces (a start event, a relay event, a ``Timeout``) would
+have taken its own, so the ``(time, seq)`` pop sequence, and with it
+every result, is the one the event-based schedule produces.
+``tests/sim/test_schedule_digest.py`` pins that sequence.
 
 Callback chains
 ---------------
 Work whose steps are fixed in advance needs no generator.  The
 simulated network (:mod:`repro.cluster.network`) and the
 point-to-point layer (:mod:`repro.mpi.p2p`) run every message transfer
-as chains of ``_Call`` entries, each step pushing the next.  A chain
+as chains of call entries, each step pushing the next.  A chain
 counts as one process in ``processes_spawned`` and, until its last
 step, in ``_live_processes``, so :meth:`Engine.stats` counts it and
 deadlock detection sees it.
@@ -48,7 +57,7 @@ import heapq
 import typing as _t
 
 from repro.errors import DeadlockError, SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout, _Call
+from repro.sim.events import AllOf, AnyOf, Event, Timeout, _fire
 from repro.sim.process import Process
 
 __all__ = ["Engine"]
@@ -78,7 +87,7 @@ class Engine:
 
     def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        self._queue: list[tuple[float, int, _t.Any]] = []
+        self._queue: list[tuple[float, int, _t.Callable, _t.Any]] = []
         self._seq = 0
         #: Number of live (started, not yet finished) processes.  Used for
         #: deadlock detection when the queue drains.
@@ -132,26 +141,22 @@ class Engine:
             raise SimulationError(f"{event!r} already scheduled")
         event._scheduled = True
         self._seq += 1
-        heapq.heappush(self._queue, (self._now + delay, self._seq, event))
+        heapq.heappush(
+            self._queue, (self._now + delay, self._seq, _fire, event)
+        )
 
     def _schedule_call(
-        self,
-        fn: _t.Callable,
-        delay: float = 0.0,
-        ok: bool | None = True,
-        value: _t.Any = None,
+        self, fn: _t.Callable, delay: float = 0.0, arg: _t.Any = None
     ) -> None:
-        """Schedule a bare callback at the position an event would take.
+        """Push ``fn(arg)`` ``delay`` seconds from now, with no event.
 
         Consumes one sequence number, exactly like :meth:`_schedule`,
-        so fast-path calls interleave with events in the same order a
-        relay event would have produced.  Callback chains push every
-        step this way.
+        so a call takes the queue position an event scheduled at the
+        same point would have.  Callback chains push every step this
+        way.
         """
         self._seq += 1
-        heapq.heappush(
-            self._queue, (self._now + delay, self._seq, _Call(fn, ok, value))
-        )
+        heapq.heappush(self._queue, (self._now + delay, self._seq, fn, arg))
 
     # -- main loop -----------------------------------------------------------
 
@@ -167,21 +172,14 @@ class Engine:
         qlen = len(queue)
         if qlen > self.peak_queue_len:
             self.peak_queue_len = qlen
-        when, _seq, entry = heapq.heappop(queue)
+        when, _seq, fn, arg = heapq.heappop(queue)
         if when < self._now:  # pragma: no cover - defensive
             raise SimulationError(
                 f"time travel: queued t={when} < now={self._now}"
             )
         self._now = when
         self.events_processed += 1
-        if entry.__class__ is _Call:
-            entry.fn(entry)
-            return
-        callbacks = entry.callbacks
-        entry.callbacks = None
-        if callbacks:
-            for callback in callbacks:
-                callback(entry)
+        fn(arg)
 
     def _drain(self, finished: list | None) -> None:
         """Hot main loop: :meth:`step` inlined until ``finished`` is
@@ -190,7 +188,7 @@ class Engine:
         self.step()`` — keep in sync with :meth:`step`."""
         queue = self._queue
         heappop = heapq.heappop
-        call_cls = _Call
+        fire = _fire
         steps = 0
         peak = self.peak_queue_len
         if finished is None:
@@ -200,21 +198,22 @@ class Engine:
                 qlen = len(queue)
                 if qlen > peak:
                     peak = qlen
-                when, _seq, entry = heappop(queue)
+                when, _seq, fn, arg = heappop(queue)
                 if when < self._now:  # pragma: no cover - defensive
                     raise SimulationError(
                         f"time travel: queued t={when} < now={self._now}"
                     )
                 self._now = when
                 steps += 1
-                if entry.__class__ is call_cls:
-                    entry.fn(entry)
+                if fn is not fire:
+                    fn(arg)
                     continue
-                callbacks = entry.callbacks
-                entry.callbacks = None
+                # _fire(arg), inlined: an event's callbacks.
+                callbacks = arg.callbacks
+                arg.callbacks = None
                 if callbacks:
                     for callback in callbacks:
-                        callback(entry)
+                        callback(arg)
         finally:
             self.events_processed += steps
             if peak > self.peak_queue_len:
@@ -228,7 +227,7 @@ class Engine:
         """Engine throughput counters (JSON-ready).
 
         ``events_processed``
-            heap entries executed (events plus fast-path calls);
+            heap entries executed (events plus direct calls);
         ``processes_spawned``
             processes started, callback chains included (a simulated
             message starts two: its courier and its transfer);

@@ -24,28 +24,34 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["Event", "Timeout", "AllOf", "AnyOf"]
 
 
-class _Call:
-    """A lightweight heap entry that invokes one callback directly.
+class _Outcome:
+    """A fixed ``_ok`` / ``_value`` pair for heap entries that resume a
+    process without an event: a start, or the end of a bare-delay
+    sleep.  :meth:`Process._resume <repro.sim.process.Process._resume>`
+    reads an outcome exactly as it reads a processed event."""
 
-    Carries the same ``_ok`` / ``_value`` outcome slots a processed
-    event exposes, so :meth:`Process._resume
-    <repro.sim.process.Process._resume>` can consume it unchanged.
-    Never observable from user code: the engine's step loop unwraps it
-    before callbacks run.  Scheduling a ``_Call`` consumes one sequence
-    number, exactly like scheduling an event, so fast-path calls
-    interleave with events in the order a relay event would have
-    produced — the property that keeps fast-path schedules
-    bit-identical.
-    """
+    __slots__ = ("_ok", "_value")
 
-    __slots__ = ("fn", "_ok", "_value")
-
-    def __init__(
-        self, fn: _t.Callable, ok: bool | None, value: _t.Any
-    ) -> None:
-        self.fn = fn
+    def __init__(self, ok: bool, value: _t.Any) -> None:
         self._ok = ok
         self._value = value
+
+
+#: The outcome every process start and bare-delay wake-up carries: a
+#: success with value ``None``, what a start event or a ``Timeout``
+#: built with no value would deliver.
+_RESUME_OK = _Outcome(True, None)
+
+
+def _fire(event: "Event") -> None:
+    """Run a processed event's callbacks: the ``fn`` of every event's
+    heap entry.  The engine's drain loop inlines this body; keep them
+    in sync."""
+    callbacks = event.callbacks
+    event.callbacks = None
+    if callbacks:
+        for callback in callbacks:
+            callback(event)
 
 
 class Event:
@@ -119,7 +125,7 @@ class Event:
             raise SimulationError(f"{self!r} already scheduled")
         self._scheduled = True
         env._seq += 1
-        heapq.heappush(env._queue, (env._now, env._seq, self))
+        heapq.heappush(env._queue, (env._now, env._seq, _fire, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -166,7 +172,8 @@ class Timeout(Event):
     __slots__ = ("delay",)
 
     def __init__(self, env: "Engine", delay: float, value: _t.Any = None) -> None:
-        if delay < 0:
+        # Not ``< 0``: NaN must fail too, or it corrupts the heap order.
+        if not delay >= 0:
             raise ConfigurationError(f"negative timeout delay: {delay!r}")
         # Inlined Event.__init__ and env._schedule: timeouts are the
         # hottest allocation in the simulator (one per compute/overhead
@@ -178,7 +185,7 @@ class Timeout(Event):
         self._value = value
         self._scheduled = True
         env._seq += 1
-        heapq.heappush(env._queue, (env._now + delay, env._seq, self))
+        heapq.heappush(env._queue, (env._now + delay, env._seq, _fire, self))
 
 
 class _Condition(Event):

@@ -1,5 +1,7 @@
 """Tests for instruction mixes, including hypothesis invariants."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +26,11 @@ class TestBasics:
     def test_negative_rejected(self):
         with pytest.raises(ConfigurationError):
             InstructionMix(cpu=-1)
+
+    @pytest.mark.parametrize("level", InstructionMix.LEVELS)
+    def test_nan_rejected(self, level):
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            InstructionMix(**{level: math.nan})
 
     def test_zero(self):
         z = InstructionMix.zero()

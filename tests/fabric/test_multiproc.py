@@ -8,8 +8,6 @@ passed into subprocesses explicitly, so seeded ``crash`` faults fire
 *inside* a worker's pool exactly as they do in the local runner's).
 """
 
-import time
-
 from repro import runtime
 from repro.cluster import paper_spec
 from repro.npb import EPBenchmark, ProblemClass
@@ -124,9 +122,16 @@ def test_pool_child_crash_recovered_in_worker():
     assert worker.pool_rebuilds >= 1
 
 
-def test_streamed_completions_arrive_before_lease_end():
-    """Completions stream per wave: with one slow multi-cell lease in
-    flight, the batch's results grow before the lease finishes."""
+def test_streamed_completions_arrive_before_lease_end(monkeypatch):
+    """Completions stream per wave: with one multi-cell lease in
+    flight, the batch's results grow before the lease finishes.
+
+    A seeded ``hang`` straggler (it sleeps, then completes) holds one
+    cell back, so the lease finishes in at least two waves however
+    fast the other cells run.  The batch size is read after every
+    ``FabricCoordinator.complete`` call rather than sampled by a
+    watcher thread, so no short window can be missed.
+    """
     spec = paper_spec()
     config = fast_config(
         fabric_lease_ttl_s=10.0,
@@ -134,13 +139,22 @@ def test_streamed_completions_arrive_before_lease_end():
         # One giant lease: the whole grid in a single round trip.
         fabric_target_lease_s=0,
     )
+    straggler = FaultPlan(hang=1.0, hang_s=0.3, cells=(GRID[0],))
     with ServiceThread(config) as service:
-        with WorkerFleet(service.port, 1, procs=2):
+        with WorkerFleet(service.port, 1, procs=2, plan=straggler):
             wait_for_workers(service, 1)
             coordinator = service.service.coordinator
-            seen_partial = []
+            complete = coordinator.complete
+            sizes_after_complete = []
 
-            import threading
+            def recording_complete(worker_id, lease_id, batch_id, *rest):
+                batch = coordinator._batches.get(batch_id)
+                reply = complete(worker_id, lease_id, batch_id, *rest)
+                if batch is not None:
+                    sizes_after_complete.append(len(batch.results))
+                return reply
+
+            monkeypatch.setattr(coordinator, "complete", recording_complete)
 
             from repro.fabric.dispatch import (
                 collect_fabric_batch,
@@ -156,18 +170,9 @@ def test_streamed_completions_arrive_before_lease_end():
                 coordinator=coordinator,
             )
             assert pending is not None
-
-            def watch():
-                while not pending.batch.done.is_set():
-                    count = len(pending.batch.results)
-                    if 0 < count < len(GRID):
-                        seen_partial.append(count)
-                    time.sleep(0.005)
-
-            watcher = threading.Thread(target=watch, daemon=True)
-            watcher.start()
             outcome = collect_fabric_batch(pending)
-            watcher.join(timeout=5.0)
     assert len(outcome.results) == len(GRID)
     # Streaming: results landed incrementally, not all at lease end.
-    assert seen_partial, "no partial results observed mid-lease"
+    assert any(
+        0 < size < len(GRID) for size in sizes_after_complete
+    ), f"no partial results observed mid-lease: {sizes_after_complete}"

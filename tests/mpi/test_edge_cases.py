@@ -1,11 +1,14 @@
 """Edge cases: self-messaging, heterogeneous frequencies, zero sizes,
 rank subsets with non-contiguous node ids."""
 
+import math
+
 import pytest
 
 from repro.cluster import paper_cluster
 from repro.errors import ConfigurationError
 from repro.mpi import Communicator, run_program
+from repro.mpi.datatypes import Message
 from repro.units import mhz
 
 
@@ -108,6 +111,10 @@ class TestZeroSizes:
 
         with pytest.raises(ConfigurationError):
             run_program(cluster, program)
+
+    def test_nan_size_rejected(self):
+        with pytest.raises(ConfigurationError, match="message size"):
+            Message(source=0, dest=1, tag=0, nbytes=math.nan)
 
 
 class TestRankSubsets:

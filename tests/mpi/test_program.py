@@ -1,5 +1,7 @@
 """Tests for the rank-program runner and its accounting."""
 
+import math
+
 import pytest
 
 from repro.cluster import InstructionMix, paper_cluster
@@ -99,6 +101,16 @@ class TestComputeAccounting:
             yield from ctx.compute_seconds(-1.0)
 
         with pytest.raises(ConfigurationError):
+            run_program(cluster, program)
+
+    def test_nan_compute_seconds_rejected(self):
+        cluster = paper_cluster(2)
+
+        def program(ctx):
+            yield from ctx.compute_seconds(math.nan)
+            yield from ctx.barrier()
+
+        with pytest.raises(ConfigurationError, match="seconds must be"):
             run_program(cluster, program)
 
 

@@ -1,8 +1,9 @@
 """Golden-value bit-identity tests for campaign cells.
 
-The engine fast paths (direct ``_Call`` heap entries, inlined
-``Timeout`` scheduling, transfers as heap-call chains, memoized power
-lookups) are all justified by one invariant: they change *nothing*
+The engine fast paths (one ``(time, seq, fn, arg)`` heap-entry shape
+with direct resume calls, bare-delay sleeps, inlined ``Timeout``
+scheduling, transfers as heap-call chains, memoized power lookups)
+are all justified by one invariant: they change *nothing*
 about the simulated schedule, so every cell's (elapsed_s, energy_j)
 must stay bit-identical to the values the unoptimized simulator
 produced.  These goldens were recorded from the pre-optimization

@@ -1,18 +1,23 @@
 """Regression tests for the engine's fast-path guarantees.
 
-The hot loop replaces relay events with bare ``_Call`` heap entries
-and lets ``Timeout`` / ``Event.succeed`` push themselves onto the
-queue directly.  These tests pin down the observable contract of
-those optimizations: no extra allocations on the wait path, exact
-heap-entry counts, and the error behaviour of the edge cases the
-rewrite touched.
+Every heap entry is ``(time, seq, fn, arg)``.  Process starts, joins
+of processed events and bare-delay sleeps are direct ``_resume``
+calls instead of relay events, and ``Timeout`` / ``Event.succeed``
+push themselves onto the queue directly.  These tests pin down the
+observable contract of those optimizations: no extra allocations on
+the wait path, exact heap-entry counts, the same schedule for a bare
+delay as for a ``Timeout``, and the error behaviour of the edge cases
+the rewrite touched.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, SimulationError
 from repro.sim import Engine
-from repro.sim.events import Event, Timeout, _Call
+from repro.sim.events import _RESUME_OK, Event, Timeout, _fire
 
 
 class TestTriggerEdgeCases:
@@ -39,6 +44,13 @@ class TestNegativeTimeout:
         with pytest.raises(ConfigurationError, match="negative timeout"):
             Timeout(eng, -0.5)
 
+    def test_nan_delay_is_configuration_error(self):
+        # NaN passes a ``< 0`` check and would corrupt the heap order.
+        eng = Engine()
+        with pytest.raises(ConfigurationError, match="negative timeout"):
+            Timeout(eng, math.nan)
+        assert eng.peek() == float("inf")
+
     def test_rejected_timeout_leaves_queue_untouched(self):
         eng = Engine()
         with pytest.raises(ConfigurationError):
@@ -59,9 +71,11 @@ class TestTimeoutFastPath:
             for _ in range(10):
                 yield Timeout(env, 1.0)
 
-        eng.process(prog(eng))
-        # Before the first step the queue holds only the start _Call.
-        assert [type(entry) for _, _, entry in eng._queue] == [_Call]
+        proc = eng.process(prog(eng))
+        # Before the first step the queue holds only the start call.
+        assert [(fn, arg) for _, _, fn, arg in eng._queue] == [
+            (proc._resume, _RESUME_OK)
+        ]
         eng.run()
         # 1 start call + 10 timeouts + 1 process-finish event;
         # nothing else was ever scheduled.
@@ -79,13 +93,15 @@ class TestTimeoutFastPath:
 
         proc = eng.process(prog(eng))
         eng.step()  # run the start call; the process now waits
-        ((_, _, entry),) = eng._queue
+        ((_, _, fn, entry),) = eng._queue
+        assert fn is _fire
         assert isinstance(entry, Timeout)
         assert entry.callbacks == [proc._resume]
 
     def test_joining_processed_event_schedules_a_call(self):
-        """Yielding an already-processed event resumes via a ``_Call``
-        entry carrying the event's outcome, not via a relay event."""
+        """Yielding an already-processed event resumes via a direct
+        ``_resume`` entry whose argument is the event (carrying its
+        outcome), not via a relay event."""
         eng = Engine()
         done = Event(eng).succeed("early")
         eng.run()  # process `done`
@@ -96,12 +112,98 @@ class TestTimeoutFastPath:
             return value
 
         proc = eng.process(prog(eng))
-        eng.step()  # start call; now the _Call relay is queued
-        ((_, _, entry),) = eng._queue
-        assert type(entry) is _Call
-        assert entry._ok is True and entry._value == "early"
+        eng.step()  # start call; now the resume call is queued
+        ((_, _, fn, arg),) = eng._queue
+        assert fn == proc._resume
+        assert arg is done
+        assert arg._ok is True and arg._value == "early"
         eng.run()
         assert proc.value == "early"
+
+
+def _pop_sequence(eng):
+    """Step ``eng`` to the end, returning every popped ``(time, seq)``."""
+    popped = []
+    while eng._queue:
+        popped.append(eng._queue[0][:2])
+        eng.step()
+    return popped
+
+
+class TestBareDelay:
+    @staticmethod
+    def _run(bare):
+        """Two processes that sleep and signal each other; ``bare``
+        spells every other sleep as a bare ``float`` delay."""
+        eng = Engine()
+        signal = eng.event()
+
+        def sleep(env, delay, i):
+            return delay if bare and i % 2 else Timeout(env, delay)
+
+        def waiter(env):
+            for i in range(4):
+                yield sleep(env, 0.5, i)
+            value = yield signal
+            yield sleep(env, 0.25, 1)
+            return value
+
+        def signaller(env):
+            for i in range(3):
+                yield sleep(env, 1.0, i)
+            signal.succeed("go")
+            yield sleep(env, 0.0, 1)
+
+        procs = [eng.process(waiter(eng)), eng.process(signaller(eng))]
+        popped = _pop_sequence(eng)
+        return eng.stats(), popped, eng.now, [p.value for p in procs]
+
+    def test_bare_delay_keeps_the_timeout_schedule(self):
+        mixed = self._run(bare=True)
+        timeouts = self._run(bare=False)
+        assert mixed == timeouts
+        assert mixed[2] == 3.25
+        assert mixed[3] == ["go", None]
+
+    def test_bare_delay_allocates_no_event(self):
+        eng = Engine()
+
+        def prog(env):
+            yield 1.5
+
+        proc = eng.process(prog(eng))
+        eng.step()  # start call; now the wake-up call is queued
+        assert [(t, fn, arg) for t, _, fn, arg in eng._queue] == [
+            (1.5, proc._resume, _RESUME_OK)
+        ]
+
+    def test_float_subclass_sleeps_as_a_plain_float(self):
+        eng = Engine()
+
+        def prog(env):
+            yield np.float64(0.5)
+
+        eng.process(prog(eng))
+        eng.run()
+        assert eng.now == 0.5
+        assert type(eng.now) is float
+
+    @pytest.mark.parametrize("delay", [-1.0, math.nan])
+    def test_negative_or_nan_delay_fails_the_process(self, delay):
+        eng = Engine()
+        closed = []
+
+        def prog(env):
+            try:
+                yield delay
+            finally:
+                closed.append(True)
+
+        proc = eng.process(prog(eng))
+        with pytest.raises(ConfigurationError, match="negative timeout"):
+            eng.run(until=proc)
+        assert closed == [True]
+        assert eng.peek() == float("inf")
 
 
 class TestStatsCounters:
