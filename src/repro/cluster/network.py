@@ -106,10 +106,9 @@ class NetworkSpec:
 class _Port:
     """One switch port direction: a single holder, waiters in FIFO order.
 
-    Private to the network; :class:`~repro.sim.resources.Resource`
-    stays the public primitive.  A waiter is the chain step to run
-    once it holds the port; a grant pushes that step as one heap call,
-    at once when the port is idle, else when the holder releases.
+    Private to the network.  A waiter is the chain step to run once
+    it holds the port; a grant pushes that step as one heap call, at
+    once when the port is idle, else when the holder releases.
     """
 
     __slots__ = ("env", "busy", "waiting")

@@ -23,6 +23,12 @@ the cache tiers or writes campaign records: :func:`lookup_campaign`
 lookup → run → store, :func:`peek_campaign` is lookup, and the
 experiment planner (:mod:`repro.pipeline.planner`) composes the same
 steps over whole plans.
+
+Governed runs are deterministic too, and their seed is provenance
+only: beside the campaign tier sits a memory-only LRU of the
+:data:`GOVERNED_RUN_ENTRIES` most recently used governed runs, keyed
+by a seedless identity (:func:`cached_governed_run`, used by
+:meth:`repro.pipeline.GovernRequest.run`).
 """
 
 from __future__ import annotations
@@ -38,8 +44,12 @@ from repro.npb.base import BenchmarkModel
 from repro.runtime.memcache import LRUCache
 from repro.units import mhz
 
+if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.governor import GovernedRun
+
 __all__ = [
     "CAMPAIGN_CACHE_ENTRIES",
+    "GOVERNED_RUN_ENTRIES",
     "PAPER_COUNTS",
     "PAPER_FREQUENCIES",
     "measure_campaign",
@@ -49,6 +59,8 @@ __all__ = [
     "store_campaign",
     "clear_campaign_cache",
     "campaign_cache_stats",
+    "cached_governed_run",
+    "governed_run_cache_stats",
 ]
 
 #: The processor counts of the paper's tables (powers of two to 16).
@@ -64,6 +76,13 @@ PAPER_FREQUENCIES: tuple[float, ...] = tuple(
 CAMPAIGN_CACHE_ENTRIES = 256
 
 _CACHE = LRUCache(CAMPAIGN_CACHE_ENTRIES)
+
+#: Governed runs the per-process memory tier keeps.  A stored run
+#: retains about 13 KB (EP.A at 4 ranks) to 430 KB (LU.A at 16 ranks)
+#: by ``tracemalloc``, so the tier stays under about 14 MB.
+GOVERNED_RUN_ENTRIES = 32
+
+_GOVERNED_RUNS = LRUCache(GOVERNED_RUN_ENTRIES)
 
 _DEFAULT_SPEC_DIGEST: str | None = None
 
@@ -370,8 +389,27 @@ def peek_campaign(
     return lookup_campaign(key, settings)
 
 
+def cached_governed_run(
+    key: tuple, simulate: _t.Callable[[], "GovernedRun"]
+) -> "GovernedRun":
+    """The governed run stored under ``key``; ``simulate()`` it (and
+    store it) on a miss.
+
+    ``key`` must name everything the run depends on except its seed.
+    The stored run itself is returned, so callers hand out copies.
+    Two threads that miss on one key at once may both simulate; both
+    store the same run.
+    """
+    run = _GOVERNED_RUNS.get(key)
+    if run is None:
+        run = simulate()
+        _GOVERNED_RUNS.put(key, run)
+    return run
+
+
 def clear_campaign_cache() -> None:
-    """Drop all cached campaigns, memory *and* disk tiers.
+    """Drop all cached campaigns, memory *and* disk tiers, and every
+    cached governed run.
 
     Tests use this for isolation, so it must leave no tier behind.
     The disk tier is only touched when it is enabled or its directory
@@ -380,6 +418,7 @@ def clear_campaign_cache() -> None:
     off.
     """
     _CACHE.clear()
+    _GOVERNED_RUNS.clear()
     settings = runtime.settings()
     if settings.disk_cache or settings.cache_dir.exists():
         runtime.disk_cache(settings).clear()
@@ -388,3 +427,9 @@ def clear_campaign_cache() -> None:
 def campaign_cache_stats() -> dict[str, int]:
     """Size, bound and hit/miss/eviction counters of the memory tier."""
     return _CACHE.stats()
+
+
+def governed_run_cache_stats() -> dict[str, int]:
+    """Size, bound and hit/miss/eviction counters of the governed-run
+    tier."""
+    return _GOVERNED_RUNS.stats()

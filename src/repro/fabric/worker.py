@@ -57,7 +57,7 @@ import typing as _t
 from repro.errors import ConfigurationError
 from repro.fabric.coordinator import result_checksum
 from repro.runtime import faults
-from repro.runtime.runner import _simulate_cell
+from repro.runtime.runner import _simulate_cell, _terminate_executor
 from repro.service.client import ServiceClient, ServiceError
 from repro.settings import settings
 
@@ -207,8 +207,10 @@ class FabricWorker:
         return self._pool
 
     def _reset_pool(self) -> None:
+        # Shutdown alone would leave a hung child running beside the
+        # rebuilt pool.
         if self._pool is not None:
-            self._pool.shutdown(wait=False, cancel_futures=True)
+            _terminate_executor(self._pool)
             self._pool = None
             self.pool_rebuilds += 1
 

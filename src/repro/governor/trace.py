@@ -13,6 +13,7 @@ pin without replaying the run.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -50,6 +51,9 @@ class DecisionTrace:
 
     Mutable while the run is in flight (the governor appends
     observations and decisions), then sealed with :meth:`finalize`.
+    ``seed`` is provenance only: no observation, decision or total
+    depends on it, so a sealed trace re-stamped with
+    :meth:`with_seed` serializes exactly as a run under that seed.
     """
 
     def __init__(
@@ -94,6 +98,15 @@ class DecisionTrace:
         self.energy_j = float(energy_j)
         self.transitions = int(transitions)
         self._finalized = True
+
+    def with_seed(self, seed: int) -> "DecisionTrace":
+        """A copy of this trace stamped with another ``seed``.
+
+        The copy shares the (sealed) observation and decision lists.
+        """
+        twin = copy.copy(self)
+        twin.seed = int(seed)
+        return twin
 
     @property
     def edp(self) -> float:

@@ -329,6 +329,12 @@ class GovernRequest:
     Fields left at ``None`` take their runtime defaults.  The cap comes
     from :func:`~repro.governor.resolve_cap`; a budget no operating
     point meets is rejected here rather than inside the run.
+
+    ``seed`` is provenance only, so :meth:`run` keeps each of its two
+    runs in the governed-run memory tier
+    (:func:`~repro.experiments.platform.cached_governed_run`) under a
+    seedless identity and re-stamps the trace with this request's
+    seed: every result equals an uncached run under that seed.
     """
 
     benchmark: str
@@ -405,21 +411,43 @@ class GovernRequest:
     ticket_key = job_key
 
     def run(self) -> tuple["GovernedRun", "GovernedRun"]:
-        """The governed run and the static baseline, in that order."""
+        """The governed run and the static baseline, in that order.
+
+        Each is simulated only when the governed-run tier misses on
+        its identity: benchmark digest, ranks, spec digest, policy,
+        cap (label included, as the trace prints it), epoch length
+        and safety factor.
+        """
+        from repro import runtime
+        from repro.experiments.platform import cached_governed_run
         from repro.governor import govern_run
 
         benchmark = BENCHMARKS[self.benchmark](self.problem_class)
+        identity = (
+            runtime.benchmark_digest(benchmark),
+            self.ranks,
+            runtime.spec_digest(self.spec),
+            json.dumps(self.cap.as_dict(), sort_keys=True),
+            self.epoch_phases,
+            self.safety,
+        )
 
         def run(policy: str) -> "GovernedRun":
-            return govern_run(
-                benchmark,
-                self.ranks,
-                policy,
-                self.cap,
-                spec=self.spec,
-                epoch_phases=self.epoch_phases,
-                safety=self.safety,
-                seed=self.seed,
+            stored = cached_governed_run(
+                (policy, *identity),
+                lambda: govern_run(
+                    benchmark,
+                    self.ranks,
+                    policy,
+                    self.cap,
+                    spec=self.spec,
+                    epoch_phases=self.epoch_phases,
+                    safety=self.safety,
+                    seed=self.seed,
+                ),
+            )
+            return dataclasses.replace(
+                stored, trace=stored.trace.with_seed(self.seed)
             )
 
         return run(self.policy), run("static")

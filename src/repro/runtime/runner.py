@@ -336,19 +336,15 @@ def _shutdown_at_exit() -> None:
 atexit.register(_shutdown_at_exit)
 
 
-def _hard_reset_executor() -> None:
-    """Terminate every worker outright and discard the pool.
+def _terminate_executor(
+    executor: concurrent.futures.ProcessPoolExecutor,
+) -> None:
+    """Terminate every worker of ``executor`` outright, then reap them.
 
     The only way to clear a *hung* worker: ``shutdown`` (with or
     without ``wait``) never interrupts a task that is already
     running.  Terminated children are then reaped by ``wait=True``.
     """
-    global _EXECUTOR, _EXECUTOR_JOBS
-    executor = _EXECUTOR
-    _EXECUTOR = None
-    _EXECUTOR_JOBS = 0
-    if executor is None:
-        return
     for process in list(getattr(executor, "_processes", {}).values()):
         try:
             process.terminate()
@@ -358,6 +354,16 @@ def _hard_reset_executor() -> None:
         executor.shutdown(wait=True, cancel_futures=True)
     except Exception:  # pragma: no cover - pool already broken
         pass
+
+
+def _hard_reset_executor() -> None:
+    """Terminate every worker outright and discard the pool."""
+    global _EXECUTOR, _EXECUTOR_JOBS
+    executor = _EXECUTOR
+    _EXECUTOR = None
+    _EXECUTOR_JOBS = 0
+    if executor is not None:
+        _terminate_executor(executor)
 
 
 def _own_fault_attempts(log: list[CellAttempt], cell: Cell) -> int:

@@ -506,7 +506,10 @@ class ReproService:
             )
 
     def _metrics(self, _request: protocol.Request) -> tuple[int, _t.Any]:
-        from repro.experiments.platform import campaign_cache_stats
+        from repro.experiments.platform import (
+            campaign_cache_stats,
+            governed_run_cache_stats,
+        )
         from repro.runtime import campaign_metrics, server_process_context
 
         started = self.predict_coalescer.started
@@ -560,6 +563,7 @@ class ReproService:
             "campaign_runtime": {
                 **campaign_metrics(),
                 "memory_cache": campaign_cache_stats(),
+                "governed_runs": governed_run_cache_stats(),
             },
         }
 

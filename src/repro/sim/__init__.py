@@ -11,8 +11,6 @@ The central pieces:
 * :class:`~repro.sim.events.Event` — one-shot triggerable events.
 * :class:`~repro.sim.process.Process` — generator-based simulated
   processes which ``yield`` events to wait on them.
-* :class:`~repro.sim.resources.Resource` — capacity-limited shared
-  resources (e.g. network links) with FIFO queueing.
 * :class:`~repro.sim.trace.Tracer` — structured event tracing used by the
   phase profiler.
 
@@ -34,7 +32,6 @@ Example
 from repro.sim.engine import Engine
 from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Resource, Store
 from repro.sim.trace import TraceRecord, Tracer
 
 __all__ = [
@@ -44,8 +41,6 @@ __all__ = [
     "AllOf",
     "AnyOf",
     "Process",
-    "Resource",
-    "Store",
     "Tracer",
     "TraceRecord",
 ]

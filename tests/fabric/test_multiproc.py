@@ -176,3 +176,44 @@ def test_streamed_completions_arrive_before_lease_end(monkeypatch):
     assert any(
         0 < size < len(GRID) for size in sizes_after_complete
     ), f"no partial results observed mid-lease: {sizes_after_complete}"
+
+
+def test_stalled_lease_leaves_no_pool_child_alive(monkeypatch):
+    """A stall resets the pool: its hung child must be terminated,
+    not left running beside the rebuilt pool.
+
+    One cell hangs far past ``stall_timeout_s``; the worker bills it
+    as stalled, rebuilds its pool and the coordinator's retry
+    completes the grid.  Every child of the pool that was reset must
+    be gone once the worker has stopped.
+    """
+    spec = paper_spec()
+    serial = runtime.execute_campaign(
+        _bench(), COUNTS, FREQUENCIES, spec, jobs=1
+    )
+    plan = FaultPlan(hang=1.0, hang_s=6.0, cells=((4, 800e6),))
+    config = fast_config(fabric_lease_ttl_s=5.0, fabric_heartbeat_s=0.5)
+    with ServiceThread(config) as service:
+        fleet = WorkerFleet(
+            service.port, 1, procs=2, stall_timeout_s=0.5, plan=plan
+        )
+        worker = fleet.workers[0]
+        reset = worker._reset_pool
+        children = []
+
+        def recording_reset():
+            if worker._pool is not None:
+                children.extend(worker._pool._processes.values())
+            reset()
+
+        monkeypatch.setattr(worker, "_reset_pool", recording_reset)
+        with fleet:
+            wait_for_workers(service, 1)
+            execution = runtime.execute_campaign(
+                _bench(), COUNTS, FREQUENCIES, spec, jobs=1, fabric=True
+            )
+    assert execution.times == serial.times
+    assert execution.failures == ()
+    assert worker.pool_rebuilds == 1
+    assert children
+    assert [p.pid for p in children if p.is_alive()] == []

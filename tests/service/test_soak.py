@@ -3,7 +3,8 @@
 Thousands of requests — ``/predict`` reads, ``/campaign`` jobs over
 distinct grids, ``/govern`` and ``/optimize`` jobs, job polls — must
 leave every piece of state that grows with traffic at its bound:
-finished jobs, the campaign-record ring and the campaign memory tier.
+finished jobs, the campaign-record ring, the campaign memory tier and
+the governed-run tier.
 The bounds are patched small so the run passes them within seconds;
 after warm-up the ``/metrics`` document must stop growing.
 """
@@ -30,6 +31,8 @@ TIME_LIMIT_S = 240.0
 QUEUE = 2
 RING = 16
 CAMPAIGN_TIER = 8
+#: One entry, so the two govern policies' runs evict each other.
+GOVERNED_TIER = 1
 PREDICT_CELLS = [
     [f"{n}@{mhz}MHz"] for n in (1, 2, 4, 8) for mhz in (600, 1000, 1400)
 ]
@@ -39,6 +42,9 @@ PREDICT_CELLS = [
 def small_bounds(monkeypatch):
     monkeypatch.setattr(metrics, "MAX_RECORDS", RING)
     monkeypatch.setattr(platform, "_CACHE", LRUCache(CAMPAIGN_TIER))
+    monkeypatch.setattr(
+        platform, "_GOVERNED_RUNS", LRUCache(GOVERNED_TIER)
+    )
     runtime.configure(backend="analytic")
     runtime.reset_campaign_metrics()
     yield
@@ -87,6 +93,9 @@ def check_bounds(document):
     tier = document["campaign_runtime"]["memory_cache"]
     assert tier["max_entries"] == CAMPAIGN_TIER
     assert tier["entries"] <= CAMPAIGN_TIER
+    runs = document["campaign_runtime"]["governed_runs"]
+    assert runs["max_entries"] == GOVERNED_TIER
+    assert runs["entries"] <= runs["max_entries"]
 
 
 def test_mixed_load_leaves_state_bounded(small_bounds):
@@ -116,6 +125,7 @@ def test_mixed_load_leaves_state_bounded(small_bounds):
     assert final["service"]["jobs"]["finished"]["evictions"] > 0
     assert final["campaign_runtime"]["record_ring"]["evictions"] > 0
     assert final["campaign_runtime"]["memory_cache"]["evictions"] > 0
+    assert final["campaign_runtime"]["governed_runs"]["evictions"] > 0
     half = len(sizes) // 2
     first = sum(sizes[:half]) / half
     second = sum(sizes[half:]) / (len(sizes) - half)
