@@ -20,8 +20,8 @@ Module          Paper artifact
 
 All experiments return an :class:`~repro.experiments.registry.
 ExperimentResult`; the registry (:mod:`repro.experiments.registry`)
-lists them for the CLI (``repro-experiments``) and the benchmark
-harness (``benchmarks/``).
+lists them for the CLI (``repro-experiments``) and the paper-shape
+tests (``tests/experiments/test_paper_tables.py``).
 """
 
 from repro.experiments.platform import (

@@ -207,16 +207,16 @@ class FabricWorker:
         Returns the number of cells completed (handy for tests and
         for the console script's log line).
         """
-        self._register()
-        self._hb_thread = threading.Thread(
-            target=self._heartbeat_loop,
-            name=f"fabric-hb-{self.name}",
-            daemon=True,
-        )
-        self._hb_thread.start()
         idle_since: float | None = None
         outage_since: float | None = None
         try:
+            self._register()
+            self._hb_thread = threading.Thread(
+                target=self._heartbeat_loop,
+                name=f"fabric-hb-{self.name}",
+                daemon=True,
+            )
+            self._hb_thread.start()
             while not self._stop.is_set():
                 try:
                     doc = self._post(
@@ -276,6 +276,7 @@ class FabricWorker:
         finally:
             self._stop.set()
             self._pool.shutdown()
+            self._client.close()
         return self.cells_done
 
     def _die(self) -> None:

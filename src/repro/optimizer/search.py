@@ -13,9 +13,8 @@ simulator.
 
 Exhaustive enumeration is deliberate: the full search space (3
 platforms × 5 counts × 5 frequencies) prices in well under a
-millisecond, and the CI smoke test
-(``benchmarks/bench_optimizer.py``) cross-checks the winner against
-an independent re-enumeration.
+millisecond, and ``tests/optimizer/test_search.py`` cross-checks the
+winner against an independent re-enumeration.
 """
 
 from __future__ import annotations

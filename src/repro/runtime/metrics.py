@@ -129,7 +129,7 @@ class CampaignRecord:
         return self.events_processed / wall if wall > 0 else 0.0
 
     def as_dict(self) -> dict[str, _t.Any]:
-        """JSON-ready form (what ``BENCH_campaigns.json`` stores)."""
+        """JSON-ready form (one entry of ``campaign_metrics()["records"]``)."""
         return {
             "label": self.label,
             "source": self.source,

@@ -479,12 +479,18 @@ def stream_cells(
             if not done:
                 # Unstarted futures are left for the reset to fail:
                 # cancelling them here would make the pool's manager
-                # thread raise InvalidStateError when it does.
+                # thread raise InvalidStateError when it does.  The
+                # executor marks the items it pre-loads into its call
+                # queue as running before any worker takes them, and
+                # workers take them in submission order, so only the
+                # first ``pool.procs`` running futures have started.
                 stalled = True
+                billed = 0
                 for future, (cell, attempt) in running.items():
-                    if not future.running():
+                    if not future.running() or billed == pool.procs:
                         rerun.append((cell, attempt))
                         continue
+                    billed += 1
                     error = (
                         f"no completion within {stall_s}s; "
                         "worker terminated"

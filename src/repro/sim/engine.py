@@ -47,8 +47,8 @@ Throughput counters
 The engine counts events processed, processes spawned (callback
 chains included) and the peak heap size; see :meth:`stats`.
 The campaign runtime divides ``events_processed`` by wall time to
-report engine throughput per cell (``BENCH_engine.json``, the CLI's
-``[campaign runtime]`` line).
+report engine throughput per cell (the CLI's ``[campaign runtime]``
+line).
 """
 
 from __future__ import annotations

@@ -75,6 +75,7 @@ class TestTable3:
         errors = table3.data["errors"]
         for n in (2, 16):
             assert errors[(n, F1400)] >= errors[(n, mhz(800))]
+        assert errors[(16, F1400)] > errors[(16, mhz(800))]
 
     def test_vastly_better_than_amdahl(self, table1, table3):
         assert table3.data["max_error"] < table1.data["max_error"] / 5
@@ -109,6 +110,14 @@ class TestFigure2:
         assert all(result.data["observations"].values()), result.data[
             "observations"
         ]
+
+    def test_speedup_anchors(self):
+        """A dip at 2 nodes, recovery to ~2.9 by 16 nodes, and a
+        sub-linear sequential frequency gain (1400/600 would be 2.33)."""
+        s = run_experiment("figure2").data["speedups"]
+        assert s[(2, F600)] < 1.0
+        assert s[(16, F600)] == pytest.approx(2.9, rel=0.15)
+        assert s[(1, F1400)] == pytest.approx(1.9, rel=0.05)
 
 
 class TestTable5:
@@ -198,6 +207,7 @@ class TestDvfsSavings:
         assert best > 0.30  # the literature's >30 %
         for n, ev in result.data["evaluations"].items():
             assert ev["slowdown"] < 0.05
+            assert ev["edp_improvement"] > 0.0
 
 
 class TestAblations:
@@ -211,6 +221,12 @@ class TestAblations:
     def test_assumption2_violation_hurts_sp(self):
         result = run_experiment("ablation_overhead")
         assert result.data["heavy_max"] > 2 * result.data["normal_max"]
+
+    def test_dop_variants_within_paper_error_band(self):
+        """Flat and DOP-decomposed FP both stay under the paper's ~13 %."""
+        result = run_experiment("ablation_dop")
+        assert max(result.data["flat_errors"].values()) < 0.13
+        assert max(result.data["dop_errors"].values()) < 0.13
 
 
 class TestExtrapolation:
@@ -245,6 +261,15 @@ class TestSlackSavings:
         assert result.data["energy_savings"] > 0.03
         assert abs(result.data["slowdown"]) < 0.01
 
+    def test_default_run_keeps_the_critical_rank_at_peak(self):
+        """At the default 8 ranks the savings pass 5 %, and the most
+        loaded rank (the critical path) keeps 1400 MHz."""
+        result = run_experiment("slack_savings")
+        assert result.data["energy_savings"] > 0.05
+        assert abs(result.data["slowdown"]) < 0.01
+        assigned = result.data["assigned_mhz"]
+        assert assigned[max(assigned)] == 1400.0
+
 
 class TestPredictiveScheduling:
     """The motivating use case: prediction replaces profiling."""
@@ -264,3 +289,34 @@ class TestPredictiveScheduling:
     def test_pick_achieves_real_savings(self, predictive):
         assert predictive.data["achieved_savings"] > 0.30
         assert predictive.data["achieved_slowdown"] < 0.05
+
+
+class TestSuiteOverview:
+    @pytest.fixture(scope="class")
+    def suite(self):
+        return run_experiment("suite_overview").data["suite"]
+
+    def test_frequency_leverage_at_scale(self, suite):
+        """EP keeps essentially all its frequency leverage at 16 nodes;
+        the communication-bound codes keep the least."""
+        assert suite["ep"]["leverage_retained"] > 0.98
+        for comm_bound in ("ft", "cg", "is"):
+            assert suite[comm_bound]["leverage_retained"] < 0.8
+
+    def test_ranking(self, suite):
+        """EP is the best combined scaler; FT or IS the worst parallel
+        scaler."""
+        best = max(suite, key=lambda k: suite[k]["combined_speedup"])
+        assert best == "ep"
+        worst = min(suite, key=lambda k: suite[k]["parallel_speedup"])
+        assert worst in ("ft", "is")
+
+
+class TestGovernorComparison:
+    """The governed-run comparison's own verdict flags."""
+
+    def test_model_predictive_beats_reactive_within_oracle(self):
+        data = run_experiment("governor_comparison").data
+        assert data["mp_le_reactive_everywhere"] is True
+        assert data["worst_mp_vs_oracle"] <= 1.10
+        assert data["cap_violations"] == 0

@@ -123,3 +123,15 @@ class TestFabricCampaignJobs:
         assert job["status"] == "done"
         assert job["runtime"]["fabric_cells"] == 0
         assert len(job["result"]["data"]["times"]) == 2
+
+
+class TestWorkerLifecycle:
+    def test_drained_worker_closes_its_client(self, served):
+        fleet = WorkerFleet(served.port, 1).start()
+        wait_for_workers(served, 1)
+        served.service.coordinator.drain()
+        (thread,) = fleet.threads
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+        # The lease loop's keep-alive connection is closed, not leaked.
+        assert fleet.workers[0]._client._connection is None

@@ -127,7 +127,12 @@ class TestAcceptance:
         cap = power_cap_scenarios(4)[scenario]
         runs = {
             policy: govern_run(bench, 4, policy, cap)
-            for policy in ("static_optimal", "reactive", "model_predictive")
+            for policy in (
+                "static",
+                "static_optimal",
+                "reactive",
+                "model_predictive",
+            )
         }
         mp = runs["model_predictive"].edp
         assert mp <= runs["reactive"].edp * (1 + 1e-12)

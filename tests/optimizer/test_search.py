@@ -66,16 +66,20 @@ class TestCheckObjective:
 class TestOptimize:
     @pytest.mark.parametrize("objective", OBJECTIVES)
     def test_winner_matches_independent_enumeration(self, objective):
-        cap = power_cap_scenarios(max(PAPER_COUNTS))["cluster_cap"]
-        result = optimize(
-            "ep", "A", objective=objective, cap=cap, confirm=False
-        )
-        winner = result.winner
-        assert (
-            winner.platform,
-            winner.n,
-            winner.frequency_hz,
-        ) == exhaustive_argmin("ep", objective, cap)
+        scenarios = power_cap_scenarios(max(PAPER_COUNTS))
+        for benchmark in ("ep", "ft"):
+            for label in ("uncapped", "cluster_cap", "node_cap"):
+                cap = scenarios[label]
+                result = optimize(
+                    benchmark, "A", objective=objective, cap=cap, confirm=False
+                )
+                winner = result.winner
+                expected = exhaustive_argmin(benchmark, objective, cap)
+                assert (
+                    winner.platform,
+                    winner.n,
+                    winner.frequency_hz,
+                ) == expected, (benchmark, label)
 
     def test_candidates_sorted_and_winner_first_feasible(self):
         cap = power_cap_scenarios(max(PAPER_COUNTS))["cluster_cap"]

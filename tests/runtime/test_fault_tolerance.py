@@ -346,6 +346,34 @@ class TestTimeouts:
         assert record["failed_cells"] == 0
         assert record["timeouts"] == len(clean.times)
 
+    def test_stall_bills_only_cells_that_started(self, monkeypatch):
+        # Two cells hang for good on a fresh 2-process pool.  The
+        # executor also marks the cells it pre-loads into its call
+        # queue as running; the stall must re-run those, not bill
+        # them, so only the two hung cells fail.
+        pool = runner.CellPool()
+        monkeypatch.setattr(runner, "_POOL", pool)
+        hung = ((1, mhz(600)), (1, mhz(1400)))
+        install_fault_plan(
+            FaultPlan(hang=1.0, hang_s=3.0, times=99, cells=hung)
+        )
+        ep = EPBenchmark(ProblemClass.S)
+        try:
+            partial = measure_campaign(
+                ep,
+                *GRID,
+                use_cache=False,
+                jobs=2,
+                retries=0,
+                cell_timeout=0.5,
+                allow_partial=True,
+            )
+        finally:
+            pool.shutdown(wait=True)
+        failed = [tuple(f["cell"]) for f in _last_record()["failures"]]
+        assert sorted(failed) == sorted(hung)
+        assert len(partial.times) == N_CELLS - len(hung)
+
 
 class TestAllowPartial:
     def test_partial_returns_survivors_and_report(self, clean):

@@ -56,6 +56,35 @@ class TestPredictCoalescing:
         assert metrics["models"]["fits_started"] == 1
 
 
+class TestPredictStorm:
+    #: The bodies each client cycles through: four single cells and
+    #: the full paper grid, so concurrent clients share keys.
+    POINTS = (["2@600MHz"], ["4@800MHz"], ["8@1000MHz"], ["16@1400MHz"], None)
+
+    def test_barrier_released_storm_answers_every_request(self):
+        n_clients, per_client = 128, 4
+        barrier = threading.Barrier(n_clients)
+        config = ServiceConfig(port=0, warmup=(("ep", "S"),))
+        with ServiceThread(config) as served:
+
+            def worker(index):
+                answered = 0
+                with ServiceClient(port=served.port, timeout_s=120) as client:
+                    barrier.wait(timeout=120)
+                    for i in range(per_client):
+                        cells = self.POINTS[(index + i) % len(self.POINTS)]
+                        response = client.predict("ep", "S", cells=cells)
+                        answered += bool(response["predictions"])
+                return answered
+
+            answered = fanout(worker, n_clients)
+            with ServiceClient(port=served.port) as client:
+                predict = client.metrics()["service"]["predict"]
+        assert sum(answered) == n_clients * per_client
+        assert predict["requests"] == n_clients * per_client
+        assert predict["coalesce_ratio"] > 0
+
+
 class TestCampaignDedup:
     def test_identical_concurrent_campaigns_simulate_once(
         self, served, monkeypatch

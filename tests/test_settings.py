@@ -101,4 +101,4 @@ def test_readme_table_lists_exactly_the_declared_variables():
         for field in _declared(cls)
     }
     assert len(table) == len(set(table))
-    assert set(table) == declared | {"REPRO_FAULTS", "REPRO_BENCH_DIR"}
+    assert set(table) == declared | {"REPRO_FAULTS"}
