@@ -9,7 +9,8 @@ This example reproduces that whole workflow:
 1. run FT once with tracing and profile its phases,
 2. build a profile-driven policy (comm-bound phases → 600 MHz,
    everything else → 1400 MHz),
-3. run scheduled vs static-peak and report energy/time/EDP.
+3. run it and static peak through the governor (``govern_run``) and
+   report energy/time/EDP.
 
 It also demonstrates why the profile matters: the same policy applied
 to compute-bound EP buys nothing.
@@ -18,9 +19,10 @@ Run:  python examples/dvfs_scheduling.py
 """
 
 from repro import EPBenchmark, FTBenchmark, paper_spec
+from repro.governor import CommBoundPolicy
 from repro.proftools import profile_benchmark
 from repro.reporting import format_rows
-from repro.sched import CommBoundPolicy, evaluate_policy
+from repro.sched import evaluate_policy
 
 
 def main() -> None:

@@ -14,8 +14,9 @@ The package splits into:
   :mod:`repro.cluster` (DVFS cluster hardware models),
   :mod:`repro.mpi` (simulated message passing), :mod:`repro.npb`
   (benchmark workload models), :mod:`repro.proftools`
-  (PAPI/LMBENCH/MPPTEST-style measurement), :mod:`repro.sched`
-  (DVS scheduling policies);
+  (PAPI/LMBENCH/MPPTEST-style measurement), :mod:`repro.governor`
+  (DVFS policies, offline schedules and online governors, run through
+  one governed-run path) and :mod:`repro.sched` (schedule evaluation);
 * the evaluation — :mod:`repro.experiments` (one driver per paper
   table/figure) and :mod:`repro.reporting`.
 

@@ -5,8 +5,10 @@ Two ways to change frequency:
 * **Between runs** — experiments that measure one fixed (N, f) point
   simply call :meth:`DvfsController.set_cluster_frequency` before the
   program starts; the transition is configuration, not simulated time.
-* **During a run** — DVS *scheduling* policies (:mod:`repro.sched`)
-  change frequency at phase boundaries while the application executes.
+* **During a run** — DVFS policies run by
+  :func:`~repro.governor.loop.govern_run` (open-loop schedules before
+  every phase, closed-loop governors at epoch boundaries) change
+  frequency while the application executes.
   In that case the transition costs simulated time
   (``CpuSpec.dvfs_transition_s``) and idle energy, charged through
   :meth:`DvfsController.transition`, which simulated programs ``yield``.

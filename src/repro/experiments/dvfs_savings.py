@@ -7,9 +7,11 @@ performance."
 
 This experiment reproduces that prior-work result on the simulated
 platform: profile a communication-bound benchmark, build the
-profile-driven :class:`~repro.sched.policies.CommBoundPolicy`
-(throttle communication-bound phases to the base frequency) and
-evaluate it against the static-peak baseline.
+profile-driven open-loop
+:class:`~repro.governor.policies.CommBoundPolicy` (throttle
+communication-bound phases to the base frequency), run it through
+:func:`~repro.governor.loop.govern_run` and evaluate it against the
+static-peak baseline.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ import typing as _t
 
 from repro.cluster.machine import paper_spec
 from repro.experiments.registry import ExperimentResult, register_spec
+from repro.governor import CommBoundPolicy
 from repro.npb import BENCHMARKS, ProblemClass
 from repro.pipeline import ExperimentSpec, Stage, StageContext
 from repro.proftools.profiler import profile_benchmark
 from repro.reporting.tables import format_rows
-from repro.sched import CommBoundPolicy, evaluate_policy
+from repro.sched import evaluate_policy
 
 __all__ = ["SPEC"]
 

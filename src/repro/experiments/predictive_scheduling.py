@@ -32,11 +32,12 @@ from repro.core.energy import EnergyModel
 from repro.core.params_sp import SimplifiedParameterization
 from repro.experiments.platform import PAPER_COUNTS, PAPER_FREQUENCIES
 from repro.experiments.registry import ExperimentResult, register_spec
+from repro.governor import CommBoundPolicy
 from repro.npb import BENCHMARKS, ProblemClass
 from repro.pipeline import CampaignRequest, ExperimentSpec, Stage, StageContext
 from repro.proftools.profiler import profile_benchmark
 from repro.reporting.tables import format_rows
-from repro.sched import CommBoundPolicy, evaluate_policy
+from repro.sched import evaluate_policy
 
 __all__ = ["SPEC", "predict_schedule_savings"]
 

@@ -8,9 +8,10 @@ on a statically load-imbalanced iterative workload:
 1. run once at peak frequency and measure each rank's idle fraction
    (its slack at the per-iteration synchronization);
 2. assign each rank the lowest operating point whose compute inflation
-   fits inside its own slack (:meth:`~repro.sched.policies.SlackPolicy.
-   from_idle_fractions`);
-3. compare energy and time against the static-peak baseline.
+   fits inside its own slack (:meth:`~repro.governor.policies.
+   SlackPolicy.from_idle_fractions`, an open-loop policy);
+3. run it through :func:`~repro.governor.loop.govern_run` and compare
+   energy and time against the static-peak baseline.
 
 Unlike the comm-bound policy (which trades a little time for energy),
 slack reclamation should be nearly free: the critical-path rank never
@@ -26,11 +27,12 @@ from repro.cluster.power import PowerState
 from repro.cluster.workmix import InstructionMix
 from repro.core.workload import DopComponent
 from repro.experiments.registry import ExperimentResult, register_spec
+from repro.governor import SlackPolicy
 from repro.npb.base import BenchmarkModel
 from repro.npb.phases import AllreducePhase, ComputePhase, Phase
 from repro.pipeline import ExperimentSpec, Stage, StageContext
 from repro.reporting.tables import format_rows
-from repro.sched import SlackPolicy, evaluate_policy
+from repro.sched import evaluate_policy
 
 __all__ = ["ImbalancedStencil", "SPEC"]
 
@@ -144,7 +146,7 @@ def _render(ctx: StageContext) -> ExperimentResult:
         [
             rank,
             f"{idle[rank]:.0%}",
-            f"{policy.frequency_for_rank(rank, '') / 1e6:.0f}",
+            f"{policy.frequency_for(rank, '') / 1e6:.0f}",
         ]
         for rank in range(n_ranks)
     ]
@@ -167,7 +169,7 @@ def _render(ctx: StageContext) -> ExperimentResult:
     data = {
         "idle_fractions": idle,
         "assigned_mhz": {
-            r: policy.frequency_for_rank(r, "") / 1e6 for r in range(n_ranks)
+            r: policy.frequency_for(r, "") / 1e6 for r in range(n_ranks)
         },
         "energy_savings": evaluation.energy_savings,
         "slowdown": evaluation.slowdown,

@@ -1,14 +1,16 @@
-"""Closed-loop DVFS governor: the SP model as an online controller.
+"""DVFS governor: the one execution path for every frequency policy.
 
 The paper's predictive-scheduling experiment picks frequencies *before*
-a run; this subsystem closes the loop.  A governed run chunks a
+a run; this subsystem also closes the loop.  A governed run chunks a
 benchmark's phase list into epochs, observes each epoch through the
 simulator's own meters (:mod:`repro.governor.telemetry`), consults a
 pluggable policy (:mod:`repro.governor.policies` — static baseline,
 offline static-optimal oracle, reactive slack reclamation, and an
 online model-predictive controller that refits power-aware speedup
 from observations), and actuates per-rank frequency changes through
-the real DVFS controller mid-run (:mod:`repro.governor.loop`).
+the real DVFS controller mid-run (:mod:`repro.governor.loop`).  The
+offline DVS schedules of the paper's prior work [15] run through the
+same :func:`govern_run` as open-loop policies, queried per phase.
 
 Operator power budgets are first-class (:mod:`repro.governor.caps`):
 every actuation is clamped to the cap-legal operating-point set, so a
@@ -29,11 +31,14 @@ from repro.governor.loop import (
 from repro.governor.policies import (
     DEFAULT_SAFETY,
     POLICIES,
+    CommBoundPolicy,
     GovernorContext,
     GovernorDecision,
     GovernorPolicy,
     ModelPredictivePolicy,
+    PhaseTablePolicy,
     ReactiveSlackPolicy,
+    SlackPolicy,
     StaticGovernorPolicy,
     StaticOptimalPolicy,
     build_policy,
@@ -56,6 +61,9 @@ __all__ = [
     "StaticOptimalPolicy",
     "ReactiveSlackPolicy",
     "ModelPredictivePolicy",
+    "PhaseTablePolicy",
+    "CommBoundPolicy",
+    "SlackPolicy",
     "POLICIES",
     "build_policy",
     "GovernedRun",

@@ -1,9 +1,11 @@
 """The governed-run harness: sensors in, decisions out, actuations back.
 
-:func:`govern_run` executes a benchmark under closed-loop frequency
-control.  The phase list is chunked into epochs; at every epoch
-boundary the ranks synchronize on a barrier, the governor folds the
-previous epoch's :class:`~repro.governor.telemetry.PhaseObservation`
+:func:`govern_run` executes a benchmark under a DVFS policy and picks
+its path from the policy's protocol.  A closed-loop
+:class:`~repro.governor.policies.GovernorPolicy` (``decide``) runs
+under epoch control: the phase list is chunked into epochs; at every
+epoch boundary the ranks synchronize on a barrier, the governor folds
+the previous epoch's :class:`~repro.governor.telemetry.PhaseObservation`
 stream into a policy decision (computed exactly once per epoch — the
 first rank through the barrier triggers it), and each rank actuates
 its assigned frequency through the real
@@ -16,6 +18,13 @@ follows.
 The epoch-0 decision is applied as *pre-run configuration* (no
 simulated time has passed, so no transition is charged), which also
 means a static policy generates zero DVFS transitions.
+
+An open-loop policy (``frequency_for``, e.g.
+:class:`~repro.governor.policies.PhaseTablePolicy`) is fixed before the
+run: before every phase each rank asks it, clamps the answer to the
+cap-legal set and transitions only on a change.  There is no barrier,
+no sensing and no pre-run configuration (nodes boot at the base point),
+and the trace records no observations or decisions.
 
 Every run yields a :class:`GovernedRun` wrapping the raw
 :class:`~repro.mpi.program.RunResult` and the sealed, deterministic
@@ -37,6 +46,8 @@ from repro.governor.policies import (
     GovernorContext,
     GovernorDecision,
     GovernorPolicy,
+    PhaseTablePolicy,
+    SlackPolicy,
     build_policy,
 )
 from repro.governor.telemetry import EpochSensor, PhaseObservation
@@ -121,7 +132,6 @@ class _Governor:
         self._history: list[tuple[PhaseObservation, ...]] = []
         self._pending: dict[int, dict[int, PhaseObservation]] = {}
         self.sensors: dict[int, EpochSensor] = {}
-        self.dvfs = None
 
     def decide(self, epoch: int, now: float) -> tuple[float, ...]:
         if epoch in self._decisions:
@@ -151,8 +161,6 @@ class _Governor:
         return clamped
 
     def observe(self, epoch: int, rank: int, ctx: _t.Any, span: str) -> None:
-        if self.dvfs is None:
-            self.dvfs = ctx.dvfs
         observation = self.sensors[rank].observe(
             epoch, rank, ctx.now, ctx.frequency_hz, phase_span=span
         )
@@ -169,7 +177,9 @@ class _Governor:
 def govern_run(
     benchmark: "BenchmarkModel",
     n_ranks: int,
-    policy: GovernorPolicy | str | None = None,
+    policy: (
+        GovernorPolicy | PhaseTablePolicy | SlackPolicy | str | None
+    ) = None,
     cap: PowerCap | None = None,
     *,
     spec: "ClusterSpec | None" = None,
@@ -178,15 +188,15 @@ def govern_run(
     safety: float | None = None,
     seed: int = 0,
 ) -> GovernedRun:
-    """Execute ``benchmark`` on ``n_ranks`` under closed-loop control.
+    """Execute ``benchmark`` on ``n_ranks`` under a DVFS policy.
 
     ``policy`` may be a registry name (see
-    :data:`repro.governor.policies.POLICIES`), a policy instance, or
-    ``None`` for the configured default.  ``cap`` defaults to
-    uncapped.  ``platform`` names a registered platform as an
-    alternative to ``spec``; settings left at ``None`` resolve once
-    through :func:`repro.settings.settings`;
-    the governor's legal frequency set is then the cap-filtered
+    :data:`repro.governor.policies.POLICIES`), a closed-loop or
+    open-loop policy instance, or ``None`` for the configured default.
+    ``cap`` defaults to uncapped.  ``platform`` names a registered
+    platform as an alternative to ``spec``; settings left at ``None``
+    resolve once through :func:`repro.settings.settings`; the
+    governor's legal frequency set is then the cap-filtered
     *cluster-wide common* frequencies of the platform's node groups.
     The run is fully deterministic for a given argument tuple;
     ``seed`` is recorded in the trace as provenance.
@@ -214,14 +224,6 @@ def govern_run(
         )
     spec = spec.with_nodes(int(n_ranks))
     allowed = cap.allowed_frequencies_for(spec, int(n_ranks))
-    context = GovernorContext(
-        benchmark=benchmark,
-        n_ranks=int(n_ranks),
-        spec=spec,
-        cap=cap,
-        allowed=allowed,
-        safety=safety,
-    )
     trace = DecisionTrace(
         benchmark=benchmark.name,
         problem_class=benchmark.problem_class.value,
@@ -232,43 +234,65 @@ def govern_run(
         seed=seed,
         safety=safety,
     )
-    governor = _Governor(policy, context, trace)
-
     phases = list(benchmark.phases(int(n_ranks)))
-    groups = [
-        phases[i : i + epoch_phases]
-        for i in range(0, len(phases), epoch_phases)
-    ]
-    spans = [
-        "+".join(
-            dict.fromkeys(normalize_label(phase.label) for phase in group)
-        )
-        for group in groups
-    ]
+    # The run's DVFS controller is reachable only from a rank context.
+    controllers = set()
+    if hasattr(policy, "frequency_for"):
+        labels = [normalize_label(phase.label) for phase in phases]
+        cluster = Cluster(spec)
 
-    cluster = Cluster(spec)
-    # Epoch 0 is pre-run configuration: no simulated time has passed,
-    # so the initial operating point costs no transition.
-    initial = governor.decide(0, now=0.0)
-    for rank in range(int(n_ranks)):
-        cluster.node(rank).set_frequency(initial[rank])
-        governor.sensors[rank] = EpochSensor(cluster.node(rank))
-
-    def program(ctx: _t.Any) -> _t.Generator:
-        for index, group in enumerate(groups):
-            if index:
-                yield from ctx.barrier()
-                target = governor.decide(index, now=ctx.now)[ctx.rank]
+        def program(ctx: _t.Any) -> _t.Generator:
+            controllers.add(ctx.dvfs)
+            for phase, label in zip(phases, labels):
+                target = cap.clamp(
+                    policy.frequency_for(ctx.rank, label), allowed
+                )
                 if target != ctx.frequency_hz:
                     yield from ctx.set_frequency(target)
-            for phase in group:
                 yield from phase.execute(ctx)
-            governor.observe(index, ctx.rank, ctx, spans[index])
+    else:
+        context = GovernorContext(
+            benchmark=benchmark,
+            n_ranks=int(n_ranks),
+            spec=spec,
+            cap=cap,
+            allowed=allowed,
+            safety=safety,
+        )
+        governor = _Governor(policy, context, trace)
+        groups = [
+            phases[i : i + epoch_phases]
+            for i in range(0, len(phases), epoch_phases)
+        ]
+        spans = [
+            "+".join(
+                dict.fromkeys(normalize_label(phase.label) for phase in group)
+            )
+            for group in groups
+        ]
+
+        cluster = Cluster(spec)
+        # Epoch 0 is pre-run configuration: no simulated time has passed,
+        # so the initial operating point costs no transition.
+        initial = governor.decide(0, now=0.0)
+        for rank in range(int(n_ranks)):
+            cluster.node(rank).set_frequency(initial[rank])
+            governor.sensors[rank] = EpochSensor(cluster.node(rank))
+
+        def program(ctx: _t.Any) -> _t.Generator:
+            controllers.add(ctx.dvfs)
+            for index, group in enumerate(groups):
+                if index:
+                    yield from ctx.barrier()
+                    target = governor.decide(index, now=ctx.now)[ctx.rank]
+                    if target != ctx.frequency_hz:
+                        yield from ctx.set_frequency(target)
+                for phase in group:
+                    yield from phase.execute(ctx)
+                governor.observe(index, ctx.rank, ctx, spans[index])
 
     result = run_program(cluster, program)
-    transitions = (
-        governor.dvfs.total_transitions() if governor.dvfs is not None else 0
-    )
+    transitions = sum(dvfs.total_transitions() for dvfs in controllers)
     trace.finalize(
         elapsed_s=result.elapsed_s,
         energy_j=result.energy_j,

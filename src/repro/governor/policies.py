@@ -1,8 +1,8 @@
-"""Pluggable governor policies: oracle, reactive, and model-predictive.
+"""Governor policies: closed loop per epoch, open loop per phase.
 
-A :class:`GovernorPolicy` is consulted once per epoch with the full
-observation history and returns per-rank frequencies for the next
-epoch.  Three families are provided:
+A closed-loop :class:`GovernorPolicy` is consulted once per epoch with
+the full observation history and returns per-rank frequencies for the
+next epoch.  Four are provided:
 
 * :class:`StaticGovernorPolicy` — hold one frequency for the whole run
   (the cap-legal peak by default); this is the fair static baseline
@@ -13,9 +13,9 @@ epoch.  Three families are provided:
   online policy cannot beat it by much, so "within x% of the oracle"
   is the headline acceptance metric.
 * :class:`ReactiveSlackPolicy` — the online generalization of
-  :class:`repro.sched.policies.SlackPolicy`: each rank reclaims the
-  slack it *observed last epoch*, scaling down until its stretched
-  busy time would consume a ``safety`` fraction of that slack.
+  :class:`SlackPolicy`: each rank reclaims the slack it *observed
+  last epoch*, scaling down until its stretched busy time would
+  consume a ``safety`` fraction of that slack.
 * :class:`ModelPredictivePolicy` — fits the power-aware speedup model
   online: from last epoch's reconstructed instruction mix and
   comm/idle split it predicts every candidate frequency's epoch time
@@ -23,9 +23,19 @@ epoch.  Three families are provided:
   picks the argmin-EDP uniform frequency (with hysteresis against
   churn), then slack-fills non-critical ranks below it.
 
-All policies receive only cap-legal frequencies via
-:class:`GovernorContext`, so cap safety is independent of policy
-quality.
+These receive only cap-legal frequencies via :class:`GovernorContext`,
+so cap safety is independent of policy quality.
+
+The offline DVS schedules of the paper's prior work [15] are open-loop
+policies, fixed before the run, with one query
+``frequency_for(rank, phase_group)`` that
+:func:`~repro.governor.loop.govern_run` asks before every phase and
+clamps to the cap-legal set: :class:`PhaseTablePolicy` (a phase-group
+table; ``PhaseTablePolicy({}, f)`` is static), :class:`CommBoundPolicy`
+(the "a priori profiling" table that power-aware speedup aims to
+replace with prediction) and :class:`SlackPolicy` (one frequency per
+rank).  They are not in :data:`POLICIES`: each needs a table, a
+profile or idle fractions, which a registry name cannot supply.
 """
 
 from __future__ import annotations
@@ -36,10 +46,12 @@ import typing as _t
 from repro.cluster.cpu import CpuTimingModel
 from repro.cluster.machine import ClusterSpec
 from repro.cluster.memory import MemoryTimingModel
+from repro.cluster.opoints import OperatingPointTable
 from repro.cluster.power import PowerState
 from repro.errors import ConfigurationError
 from repro.governor.caps import PowerCap
 from repro.governor.telemetry import PhaseObservation
+from repro.proftools.profiler import PhaseProfile, normalize_label
 from repro.settings import Settings
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -53,6 +65,9 @@ __all__ = [
     "StaticOptimalPolicy",
     "ReactiveSlackPolicy",
     "ModelPredictivePolicy",
+    "PhaseTablePolicy",
+    "CommBoundPolicy",
+    "SlackPolicy",
     "POLICIES",
     "build_policy",
 ]
@@ -145,6 +160,24 @@ def _uniform(context: GovernorContext, frequency_hz: float) -> tuple[float, ...]
     return (frequency_hz,) * context.n_ranks
 
 
+def _slack_frequency(
+    idle_fraction: float,
+    safety: float,
+    peak: float,
+    allowed: _t.Iterable[float],
+) -> float:
+    """The lowest ``allowed`` f >= peak · (1 − safety · idle), else peak.
+
+    A rank idle for fraction ``s`` of a span at ``peak`` is busy for
+    ``1 − s`` of it; at ``f`` that busy time grows by ``peak/f`` and
+    still fits the span iff ``f >= peak · (1 − s)``.  ``safety``
+    shrinks the usable slack.
+    """
+    required = peak * (1.0 - idle_fraction * safety)
+    candidates = [f for f in allowed if f >= required]
+    return min(candidates) if candidates else peak
+
+
 class StaticGovernorPolicy:
     """Hold one frequency for the whole run (cap-legal peak by default)."""
 
@@ -221,7 +254,7 @@ class ReactiveSlackPolicy:
     """Per-rank slack reclamation from last epoch's idle fraction.
 
     The online generalization of
-    :meth:`repro.sched.policies.SlackPolicy.from_idle_fractions`: a
+    :meth:`SlackPolicy.from_idle_fractions`, with the same slack rule: a
     rank that idled fraction ``i`` of the previous epoch assumes the
     next epoch looks the same and scales down to the slowest cap-legal
     frequency that keeps its stretched busy time within ``safety * i``
@@ -245,14 +278,13 @@ class ReactiveSlackPolicy:
                 frequencies=_uniform(context, context.allowed_peak),
                 reason="bootstrap epoch at cap-legal peak",
             )
-        previous = history[-1]
         peak = context.allowed_peak
-        table = []
-        for observation in previous:
-            usable = observation.idle_fraction * self.safety
-            required = peak * (1.0 - usable)
-            candidates = [f for f in context.allowed if f >= required]
-            table.append(min(candidates) if candidates else peak)
+        table = [
+            _slack_frequency(
+                observation.idle_fraction, self.safety, peak, context.allowed
+            )
+            for observation in history[-1]
+        ]
         lowered = sum(1 for f in table if f < peak)
         return GovernorDecision(
             frequencies=tuple(table),
@@ -366,6 +398,135 @@ class ModelPredictivePolicy:
                 f"{filled}/{context.n_ranks} ranks slack-filled"
             ),
         )
+
+
+def _positive(what: str, frequency_hz: float) -> float:
+    value = float(frequency_hz)
+    if not value > 0:
+        raise ConfigurationError(f"{what} must be positive: {value}")
+    return value
+
+
+class PhaseTablePolicy:
+    """Open-loop phase-group → frequency table with a default.
+
+    Phase labels are normalized (iteration suffixes stripped) before
+    lookup, so a table entry ``"transpose"`` covers ``transpose[0]``
+    through ``transpose[5]``.  ``PhaseTablePolicy({}, f)`` holds ``f``.
+    """
+
+    name = "phase_table"
+
+    def __init__(
+        self, table: _t.Mapping[str, float], default_hz: float
+    ) -> None:
+        self.default_hz = _positive("default frequency", default_hz)
+        self.table = {
+            str(label): _positive(f"frequency for {str(label)!r}", f)
+            for label, f in table.items()
+        }
+
+    def frequency_for(self, rank: int, phase_group: str) -> float:
+        """The table entry for the (normalized) phase, or the default."""
+        return self.table.get(normalize_label(phase_group), self.default_hz)
+
+
+class CommBoundPolicy(PhaseTablePolicy):
+    """Profile-driven open-loop policy: slow down comm-bound phases.
+
+    Phase groups of ``profile`` whose communication fraction exceeds
+    ``threshold`` run at ``low_hz`` (default: the base point), all
+    others at ``high_hz`` (default: the peak point).
+    """
+
+    name = "comm_bound"
+
+    def __init__(
+        self,
+        profile: PhaseProfile,
+        operating_points: OperatingPointTable,
+        threshold: float = 0.5,
+        low_hz: float | None = None,
+        high_hz: float | None = None,
+    ) -> None:
+        if not 0.0 < threshold <= 1.0:
+            raise ConfigurationError(
+                f"threshold must be in (0, 1]: {threshold}"
+            )
+        low = float(low_hz or operating_points.base.frequency_hz)
+        high = float(high_hz or operating_points.peak.frequency_hz)
+        operating_points.lookup(low)
+        operating_points.lookup(high)
+        table = {
+            label: low
+            for label in profile.communication_bound_phases(threshold)
+        }
+        super().__init__(table, default_hz=high)
+        self.threshold = float(threshold)
+        self.low_hz = low
+        self.high_hz = high
+
+    @property
+    def throttled_phases(self) -> tuple[str, ...]:
+        """Phase groups this policy slows down."""
+        return tuple(sorted(self.table))
+
+
+class SlackPolicy:
+    """Open-loop slack reclamation: slow down ranks off the critical path.
+
+    The related-work idea the paper cites ([7, 24], Chen et al. /
+    Kappiah et al.): in load-imbalanced codes some ranks spend much of
+    every iteration *waiting* at synchronization points; running them
+    slower stretches their compute into their own slack, saving energy
+    with (ideally) no effect on the critical path.  Each rank in
+    ``rank_frequencies`` holds its frequency for the whole run; the
+    others (the critical path) hold ``default_hz``.
+    """
+
+    name = "slack"
+
+    def __init__(
+        self,
+        rank_frequencies: _t.Mapping[int, float],
+        default_hz: float,
+    ) -> None:
+        self.default_hz = _positive("default frequency", default_hz)
+        self.rank_frequencies = {
+            int(r): _positive(f"frequency for rank {int(r)}", f)
+            for r, f in rank_frequencies.items()
+        }
+
+    def frequency_for(self, rank: int, phase_group: str) -> float:
+        """The frequency assigned to ``rank`` (phase-independent)."""
+        return self.rank_frequencies.get(int(rank), self.default_hz)
+
+    @classmethod
+    def from_idle_fractions(
+        cls,
+        idle_by_rank: _t.Mapping[int, float],
+        operating_points: OperatingPointTable,
+        safety: float = DEFAULT_SAFETY,
+    ) -> "SlackPolicy":
+        """Give each rank the lowest legal point its slack can absorb.
+
+        ``idle_by_rank`` holds each rank's idle fraction in [0, 1] from
+        a baseline run at peak; ``safety`` is the fraction of that
+        slack the policy dares to consume.  The rule is the one
+        :class:`ReactiveSlackPolicy` applies every epoch.
+        """
+        if not 0 < safety <= 1:
+            raise ConfigurationError(f"safety must be in (0, 1]: {safety}")
+        peak = operating_points.peak.frequency_hz
+        legal = [point.frequency_hz for point in operating_points]
+        table: dict[int, float] = {}
+        for rank, idle in idle_by_rank.items():
+            if not 0.0 <= idle <= 1.0:
+                raise ConfigurationError(
+                    f"idle fraction for rank {rank} must be in [0, 1]: {idle}"
+                )
+            table[int(rank)] = _slack_frequency(idle, safety, peak, legal)
+        return cls(table, default_hz=peak)
 
 
 #: Registry of policy names accepted by the CLI, service, and spec.

@@ -3,7 +3,8 @@
 Every governed run produces exactly one :class:`DecisionTrace`: the
 run's configuration header, the full `PhaseObservation` stream the
 sensors emitted, every :class:`EpochDecision` the policy issued, and
-the run's closing totals.  The discrete-event engine is deterministic
+the run's closing totals (an open-loop run senses and decides nothing
+in flight, so its two lists stay empty).  The discrete-event engine is deterministic
 and the trace stores nothing wall-clock dependent, so the same seed,
 policy, and cap always serialize to the *bit-identical* canonical JSON
 — :meth:`DecisionTrace.digest` is therefore a stable fingerprint that

@@ -13,7 +13,8 @@ is reproduced here against the simulated cluster:
 * :mod:`~repro.proftools.mpptest` — MPPTEST-style message timing across
   sizes and frequencies (Table 6's lower rows).
 * :mod:`~repro.proftools.profiler` — per-phase time/energy profiling of
-  full runs, the input to DVS scheduling (:mod:`repro.sched`).
+  full runs, the input to DVS scheduling
+  (:class:`~repro.governor.policies.CommBoundPolicy`).
 """
 
 from repro.proftools.lmbench import LevelLatencyProbe

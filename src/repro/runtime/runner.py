@@ -40,9 +40,10 @@ run, so a fault-ridden campaign that completes is bit-identical to an
 undisturbed one.
 
 The runner's pool is created lazily, reused across campaigns (startup
-cost is paid once per process, not per campaign), grows to the largest
-``jobs`` requested and is torn down at interpreter exit — with
-``wait=True`` there, so no forked child outlives the interpreter.
+cost is paid once per process, not per campaign), takes the width each
+campaign asks for (it is re-forked only when that width changes) and is
+torn down at interpreter exit — with ``wait=True`` there, so no forked
+child outlives the interpreter.
 """
 
 from __future__ import annotations
@@ -169,9 +170,8 @@ class CampaignExecution:
     cell_wall_s:
         Simulation wall time of each *successful* cell, grid order.
     jobs:
-        Worker processes actually used (the live pool size capped by
-        the cell count — may exceed the requested jobs if an earlier
-        campaign grew the pool).
+        Worker processes actually used (the requested jobs capped by
+        the cell count).
     attempts:
         Complete :class:`CellAttempt` log across all retry rounds.
     failures:
@@ -320,9 +320,9 @@ class CellPool:
         self.rebuilds = 0
         self._executor: concurrent.futures.ProcessPoolExecutor | None = None
 
-    def grow(self, procs: int) -> None:
-        """Widen the pool to ``procs`` (a narrower live pool is shut down)."""
-        if procs > self.procs:
+    def resize(self, procs: int) -> None:
+        """Set the width; a live pool of another width is shut down."""
+        if procs != self.procs:
             self.shutdown()
             self.procs = procs
 
@@ -764,9 +764,8 @@ def execute_cells(
         )
     pool = None
     if des_cells and jobs > 1:
-        _POOL.grow(jobs)
+        _POOL.resize(jobs)
         pool = _POOL
-        jobs = max(jobs, min(_POOL.procs, len(des_cells)))
     plan = faults.active_fault_plan()
     for round_no in range(retries + 1):
         # Each round bills every pending cell at most one failure of

@@ -1,37 +1,11 @@
-"""DVS scheduling policies (the paper's prior-work substrate [15]).
+"""Evaluation of DVS schedules (the paper's prior-work substrate [15]).
 
-The paper's context — and the reason power-aware speedup matters — is
-DVS *scheduling*: lowering processor frequency during phases where the
-CPU is not the bottleneck (communication, memory stalls) to save
-energy at negligible performance cost.  This package reproduces that
-machinery on the simulated cluster:
-
-* :mod:`~repro.sched.policies` — frequency-selection policies: static,
-  per-phase tables, and profile-driven communication-bound detection.
-* :mod:`~repro.sched.scheduler` — applies a policy to a benchmark by
-  switching operating points at phase boundaries during the run
-  (paying real DVFS transition costs).
-* :mod:`~repro.sched.evaluation` — energy-vs-time comparison of a
-  scheduled run against a static-frequency baseline.
+The schedules themselves — lowering the frequency where the CPU is not
+the bottleneck — are open-loop policies in :mod:`repro.governor` and
+run through :func:`~repro.governor.loop.govern_run`; this package
+compares one against a static-frequency baseline.
 """
 
 from repro.sched.evaluation import ScheduleEvaluation, evaluate_policy
-from repro.sched.policies import (
-    CommBoundPolicy,
-    PhaseTablePolicy,
-    SchedulingPolicy,
-    SlackPolicy,
-    StaticPolicy,
-)
-from repro.sched.scheduler import scheduled_program
 
-__all__ = [
-    "SchedulingPolicy",
-    "StaticPolicy",
-    "PhaseTablePolicy",
-    "CommBoundPolicy",
-    "SlackPolicy",
-    "scheduled_program",
-    "ScheduleEvaluation",
-    "evaluate_policy",
-]
+__all__ = ["ScheduleEvaluation", "evaluate_policy"]

@@ -3,21 +3,26 @@
 The headline trade the power-aware literature reports (and the paper's
 abstract cites: ">30 % energy saved, <1 % performance loss") is a pair
 of ratios against a static-peak-frequency baseline.
-:func:`evaluate_policy` runs both configurations on fresh clusters and
-returns a :class:`ScheduleEvaluation` with the savings, slowdown and
+:func:`evaluate_policy` runs both configurations through
+:func:`~repro.governor.loop.govern_run` on fresh clusters and returns a
+:class:`ScheduleEvaluation` with the savings, slowdown and
 energy-delay comparison.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing as _t
 
-from repro.cluster.machine import Cluster, ClusterSpec, paper_spec
-from repro.mpi.program import run_program
+from repro.cluster.machine import ClusterSpec, paper_spec
+from repro.governor import (
+    GovernorPolicy,
+    PhaseTablePolicy,
+    SlackPolicy,
+    govern_run,
+)
 from repro.npb.base import BenchmarkModel
-from repro.sched.policies import SchedulingPolicy, StaticPolicy
-from repro.sched.scheduler import scheduled_program
+
+_Policy = GovernorPolicy | PhaseTablePolicy | SlackPolicy
 
 __all__ = ["ScheduleEvaluation", "evaluate_policy"]
 
@@ -78,35 +83,31 @@ class ScheduleEvaluation:
 def evaluate_policy(
     benchmark: BenchmarkModel,
     n_ranks: int,
-    policy: SchedulingPolicy,
+    policy: _Policy,
     spec: ClusterSpec | None = None,
-    baseline: SchedulingPolicy | None = None,
+    baseline: _Policy | None = None,
 ) -> ScheduleEvaluation:
     """Run ``benchmark`` under ``policy`` and under a static baseline.
 
-    The baseline defaults to static peak frequency (the "performance
-    first" configuration every DVS study compares against).  Fresh
-    clusters are built for each run so meters start from zero.
+    The baseline defaults to static peak frequency,
+    ``PhaseTablePolicy({}, peak)`` (the "performance first"
+    configuration every DVS study compares against).  Both runs go
+    through :func:`~repro.governor.loop.govern_run` on ``spec``
+    (default: the paper platform, whatever ``REPRO_PLATFORM`` says),
+    uncapped, each on a fresh cluster so meters start from zero.
     """
-    base_spec = (spec or paper_spec()).with_nodes(n_ranks)
+    spec = spec or paper_spec()
     if baseline is None:
-        baseline = StaticPolicy(
-            base_spec.cpu.operating_points.peak.frequency_hz
+        baseline = PhaseTablePolicy(
+            {}, spec.cpu.operating_points.peak.frequency_hz
         )
-
-    def run_with(p: SchedulingPolicy) -> tuple[float, float]:
-        cluster = Cluster(base_spec)
-        program = scheduled_program(benchmark, n_ranks, p)
-        result = run_program(cluster, program)
-        return result.elapsed_s, result.energy_j
-
-    base_time, base_energy = run_with(baseline)
-    sched_time, sched_energy = run_with(policy)
+    base = govern_run(benchmark, n_ranks, baseline, spec=spec)
+    scheduled = govern_run(benchmark, n_ranks, policy, spec=spec)
     return ScheduleEvaluation(
         benchmark=f"{benchmark.name}.{benchmark.problem_class.value}",
         n_ranks=n_ranks,
-        baseline_time_s=base_time,
-        baseline_energy_j=base_energy,
-        scheduled_time_s=sched_time,
-        scheduled_energy_j=sched_energy,
+        baseline_time_s=base.elapsed_s,
+        baseline_energy_j=base.energy_j,
+        scheduled_time_s=scheduled.elapsed_s,
+        scheduled_energy_j=scheduled.energy_j,
     )

@@ -1,7 +1,8 @@
 """Structured tracing of simulated activity.
 
-The phase profiler (:mod:`repro.proftools.profiler`) and the DVS
-scheduler evaluation (:mod:`repro.sched.evaluation`) need a timeline of
+The phase profiler (:mod:`repro.proftools.profiler`), whose profiles
+drive the open-loop DVS policy
+:class:`~repro.governor.policies.CommBoundPolicy`, needs a timeline of
 *what each node was doing when*: computing, waiting in a collective,
 moving bytes.  :class:`Tracer` collects :class:`TraceRecord` entries and
 offers simple aggregation queries (total time per category, per node,

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from repro import runtime
+from repro.cluster import paper_spec
 from repro.errors import (
     CampaignExecutionError,
     CellExecutionError,
@@ -490,15 +491,45 @@ class TestPoolLifecycle:
         assert calls == [True]
 
     def test_record_reports_pool_actually_used(self):
-        """A live pool larger than the requested jobs is what actually
-        runs the cells — the record must say so."""
+        """A campaign runs on the width it asks for, even after a wider
+        one — the record must say so."""
         ep = EPBenchmark(ProblemClass.S)
         measure_campaign(ep, *GRID, use_cache=False, jobs=4)
         measure_campaign(
             ep, (1, 2, 4, 8), GRID[1], use_cache=False, jobs=2
         )
         record = _last_record()
-        assert record["jobs"] >= 4  # the live pool, not the request
+        assert record["jobs"] == 2
+
+    def test_pool_takes_the_requested_width(self, monkeypatch):
+        """A narrower ``jobs`` after a wider one re-forks the pool at
+        the narrower width; the same width again reuses it."""
+        pool = runner.CellPool()
+        monkeypatch.setattr(runner, "_POOL", pool)
+        ep = EPBenchmark(ProblemClass.S)
+        cells = [
+            (n, f)
+            for n in (1, 2, 4, 8)
+            for f in (mhz(600), mhz(1000), mhz(1400))
+        ]
+
+        def run(jobs):
+            return runner.execute_cells(
+                ep, cells, paper_spec(), jobs=jobs, backend="des", fabric=False
+            )
+
+        try:
+            wide = run(4)
+            narrow = run(2)
+            executor = pool.executor()
+            again = run(2)
+            assert pool.executor() is executor
+        finally:
+            pool.shutdown(wait=True)
+        assert (wide.jobs, narrow.jobs, again.jobs) == (4, 2, 2)
+        assert executor._max_workers == 2
+        assert narrow.times == wide.times
+        assert narrow.energies == wide.energies
 
     def test_shutdown_executor_then_restart(self, clean):
         runtime.shutdown_executor(wait=True)

@@ -1,19 +1,14 @@
-"""Tests for DVS scheduling policies, the scheduler and evaluation."""
+"""Tests for the open-loop DVS policies, their governed runs and
+schedule evaluation."""
 
 import pytest
 
 from repro.cluster import paper_cluster, paper_spec
 from repro.errors import ConfigurationError
-from repro.mpi import run_program
+from repro.governor import CommBoundPolicy, PhaseTablePolicy, govern_run
 from repro.npb import EPBenchmark, FTBenchmark, ProblemClass
 from repro.proftools import profile_benchmark
-from repro.sched import (
-    CommBoundPolicy,
-    PhaseTablePolicy,
-    StaticPolicy,
-    evaluate_policy,
-    scheduled_program,
-)
+from repro.sched import evaluate_policy
 from repro.units import mhz
 
 OPS = paper_spec().cpu.operating_points
@@ -21,21 +16,21 @@ OPS = paper_spec().cpu.operating_points
 
 class TestPolicies:
     def test_static(self):
-        policy = StaticPolicy(mhz(800))
-        assert policy.frequency_for("anything") == mhz(800)
+        policy = PhaseTablePolicy({}, mhz(800))
+        assert policy.frequency_for(0, "anything") == mhz(800)
 
     def test_static_validation(self):
         with pytest.raises(ConfigurationError):
-            StaticPolicy(0.0)
+            PhaseTablePolicy({}, 0.0)
 
     def test_phase_table_lookup_and_default(self):
         policy = PhaseTablePolicy({"transpose": mhz(600)}, default_hz=mhz(1400))
-        assert policy.frequency_for("transpose") == mhz(600)
-        assert policy.frequency_for("compute1") == mhz(1400)
+        assert policy.frequency_for(0, "transpose") == mhz(600)
+        assert policy.frequency_for(0, "compute1") == mhz(1400)
 
     def test_phase_table_normalizes_labels(self):
         policy = PhaseTablePolicy({"transpose": mhz(600)}, default_hz=mhz(1400))
-        assert policy.frequency_for("transpose[3]") == mhz(600)
+        assert policy.frequency_for(0, "transpose[3]") == mhz(600)
 
     def test_phase_table_validation(self):
         with pytest.raises(ConfigurationError):
@@ -47,8 +42,8 @@ class TestPolicies:
         )
         policy = CommBoundPolicy(profile, OPS)
         assert "transpose" in policy.throttled_phases
-        assert policy.frequency_for("transpose") == OPS.base.frequency_hz
-        assert policy.frequency_for("compute1") == OPS.peak.frequency_hz
+        assert policy.frequency_for(0, "transpose") == OPS.base.frequency_hz
+        assert policy.frequency_for(0, "compute1") == OPS.peak.frequency_hz
 
     def test_comm_bound_threshold_validation(self):
         profile = profile_benchmark(FTBenchmark(ProblemClass.S), 2)
@@ -63,17 +58,15 @@ class TestPolicies:
 
 class TestScheduledProgram:
     def test_static_policy_equals_plain_run(self):
-        """Scheduling with a static policy at the initial frequency
-        must reproduce the unscheduled run exactly."""
+        """An open-loop static policy at the base point, where the nodes
+        boot, must reproduce the ungoverned run exactly."""
         ft = FTBenchmark(ProblemClass.S)
-        plain = ft.run(paper_cluster(4, frequency_hz=mhz(1400)))
+        plain = ft.run(paper_cluster(4))
 
-        cluster = paper_cluster(4, frequency_hz=mhz(1400))
-        result = run_program(
-            cluster, scheduled_program(ft, 4, StaticPolicy(mhz(1400)))
-        )
-        assert result.elapsed_s == pytest.approx(plain.elapsed_s)
-        assert result.energy_j == pytest.approx(plain.energy_j)
+        base = PhaseTablePolicy({}, OPS.base.frequency_hz)
+        result = govern_run(ft, 4, base, spec=paper_spec())
+        assert result.elapsed_s == plain.elapsed_s
+        assert result.energy_j == plain.energy_j
 
     def test_transitions_cost_time(self):
         """A policy that bounces between frequencies pays transition
@@ -82,8 +75,7 @@ class TestScheduledProgram:
         policy = PhaseTablePolicy(
             {"gaussian-pairs": mhz(1400)}, default_hz=mhz(600)
         )
-        cluster = paper_cluster(2)
-        result = run_program(cluster, scheduled_program(ep, 2, policy))
+        result = govern_run(ep, 2, policy, spec=paper_spec())
         plain_fast = EPBenchmark(ProblemClass.S).run(
             paper_cluster(2, frequency_hz=mhz(1400))
         )
@@ -130,10 +122,21 @@ class TestEvaluation:
         assert abs(evaluation.energy_savings) < 0.05
         assert abs(evaluation.slowdown) < 0.05
 
+    def test_pinned_to_the_paper_platform(self, monkeypatch):
+        """Without a spec, both runs stay on the paper platform whatever
+        ``REPRO_PLATFORM`` names."""
+        ft = FTBenchmark(ProblemClass.S)
+        policy = PhaseTablePolicy({"transpose": mhz(600)}, mhz(1400))
+        paper = evaluate_policy(ft, 4, policy)
+        monkeypatch.setenv("REPRO_PLATFORM", "paper-memwall")
+        assert evaluate_policy(ft, 4, policy) == paper
+        # The variable is live: an unpinned governed run does move.
+        assert govern_run(ft, 4, policy).elapsed_s != paper.scheduled_time_s
+
     def test_custom_baseline(self):
         """Evaluating a policy against itself is a wash."""
         ft = FTBenchmark(ProblemClass.S)
-        policy = StaticPolicy(mhz(1000))
+        policy = PhaseTablePolicy({}, mhz(1000))
         evaluation = evaluate_policy(ft, 2, policy, baseline=policy)
         assert evaluation.energy_savings == pytest.approx(0.0)
         assert evaluation.slowdown == pytest.approx(0.0)

@@ -8,7 +8,8 @@ from repro.experiments.slack_savings import (
     ImbalancedStencil,
     measure_idle_fractions,
 )
-from repro.sched import SlackPolicy, evaluate_policy
+from repro.governor import SlackPolicy
+from repro.sched import evaluate_policy
 from repro.units import mhz
 
 OPS = paper_spec().cpu.operating_points
@@ -17,13 +18,9 @@ OPS = paper_spec().cpu.operating_points
 class TestSlackPolicy:
     def test_per_rank_lookup(self):
         policy = SlackPolicy({0: mhz(600), 1: mhz(800)}, default_hz=mhz(1400))
-        assert policy.frequency_for_rank(0, "any") == mhz(600)
-        assert policy.frequency_for_rank(1, "any") == mhz(800)
-        assert policy.frequency_for_rank(7, "any") == mhz(1400)
-
-    def test_rank_agnostic_query_returns_default(self):
-        policy = SlackPolicy({0: mhz(600)}, default_hz=mhz(1400))
-        assert policy.frequency_for("any") == mhz(1400)
+        assert policy.frequency_for(0, "any") == mhz(600)
+        assert policy.frequency_for(1, "any") == mhz(800)
+        assert policy.frequency_for(7, "any") == mhz(1400)
 
     def test_validation(self):
         with pytest.raises(ConfigurationError):
@@ -33,22 +30,22 @@ class TestSlackPolicy:
 
     def test_from_idle_fractions_zero_slack_gets_peak(self):
         policy = SlackPolicy.from_idle_fractions({0: 0.0}, OPS)
-        assert policy.frequency_for_rank(0, "") == OPS.peak.frequency_hz
+        assert policy.frequency_for(0, "") == OPS.peak.frequency_hz
 
     def test_from_idle_fractions_large_slack_gets_lower_point(self):
         policy = SlackPolicy.from_idle_fractions({0: 0.6}, OPS, safety=1.0)
         # required f >= 1400 * (1 - 0.6) = 560 MHz -> 600 MHz point.
-        assert policy.frequency_for_rank(0, "") == mhz(600)
+        assert policy.frequency_for(0, "") == mhz(600)
 
     def test_from_idle_fractions_formula(self):
         policy = SlackPolicy.from_idle_fractions({0: 0.3}, OPS, safety=1.0)
         # required f >= 1400 * 0.7 = 980 MHz -> 1000 MHz point.
-        assert policy.frequency_for_rank(0, "") == mhz(1000)
+        assert policy.frequency_for(0, "") == mhz(1000)
 
     def test_safety_raises_assignment(self):
         loose = SlackPolicy.from_idle_fractions({0: 0.3}, OPS, safety=1.0)
         tight = SlackPolicy.from_idle_fractions({0: 0.3}, OPS, safety=0.5)
-        assert tight.frequency_for_rank(0, "") >= loose.frequency_for_rank(
+        assert tight.frequency_for(0, "") >= loose.frequency_for(
             0, ""
         )
 
@@ -96,7 +93,7 @@ class TestSlackReclamation:
         idle = measure_idle_fractions(bench, 4, OPS.peak.frequency_hz)
         policy = SlackPolicy.from_idle_fractions(idle, OPS, safety=0.9)
         assert all(
-            policy.frequency_for_rank(r, "") == OPS.peak.frequency_hz
+            policy.frequency_for(r, "") == OPS.peak.frequency_hz
             for r in range(4)
         )
 
