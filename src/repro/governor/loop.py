@@ -24,7 +24,9 @@ An open-loop policy (``frequency_for``, e.g.
 run: before every phase each rank asks it, clamps the answer to the
 cap-legal set and transitions only on a change.  There is no barrier,
 no sensing and no pre-run configuration (nodes boot at the base point),
-and the trace records no observations or decisions.
+and the trace records no observations or decisions; its header
+records ``epoch_phases`` and ``safety`` as ``None``, as the run reads
+neither.
 
 Every run yields a :class:`GovernedRun` wrapping the raw
 :class:`~repro.mpi.program.RunResult` and the sealed, deterministic
@@ -224,20 +226,23 @@ def govern_run(
         )
     spec = spec.with_nodes(int(n_ranks))
     allowed = cap.allowed_frequencies_for(spec, int(n_ranks))
+    open_loop = hasattr(policy, "frequency_for")
+    # An open-loop run reads neither setting, so its header records
+    # neither: equal runs digest equal whatever the settings say.
     trace = DecisionTrace(
         benchmark=benchmark.name,
         problem_class=benchmark.problem_class.value,
         n_ranks=int(n_ranks),
         policy=policy.name,
         cap=cap,
-        epoch_phases=epoch_phases,
+        epoch_phases=None if open_loop else epoch_phases,
         seed=seed,
-        safety=safety,
+        safety=None if open_loop else safety,
     )
     phases = list(benchmark.phases(int(n_ranks)))
     # The run's DVFS controller is reachable only from a rank context.
     controllers = set()
-    if hasattr(policy, "frequency_for"):
+    if open_loop:
         labels = [normalize_label(phase.label) for phase in phases]
         cluster = Cluster(spec)
 

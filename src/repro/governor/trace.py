@@ -64,18 +64,18 @@ class DecisionTrace:
         n_ranks: int,
         policy: str,
         cap: PowerCap,
-        epoch_phases: int,
+        epoch_phases: int | None,
         seed: int,
-        safety: float,
+        safety: float | None,
     ) -> None:
         self.benchmark = benchmark
         self.problem_class = problem_class
         self.n_ranks = int(n_ranks)
         self.policy = policy
         self.cap = cap
-        self.epoch_phases = int(epoch_phases)
+        self.epoch_phases = None if epoch_phases is None else int(epoch_phases)
         self.seed = int(seed)
-        self.safety = float(safety)
+        self.safety = None if safety is None else float(safety)
         self.observations: list[PhaseObservation] = []
         self.decisions: list[EpochDecision] = []
         self.elapsed_s: float = 0.0

@@ -25,6 +25,7 @@ For the service's job path each provides ``job_key()``,
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import typing as _t
@@ -56,6 +57,15 @@ def _check_workload(request: _t.Any) -> None:
     object.__setattr__(
         request, "problem_class", ProblemClass.parse(request.problem_class)
     )
+
+
+@functools.cache
+def _benchmark_digest(name: str, problem_class: ProblemClass) -> str:
+    """:func:`~repro.runtime.benchmark_digest` of a default-configured
+    benchmark, once per (name, class): both sets are finite."""
+    from repro import runtime
+
+    return runtime.benchmark_digest(BENCHMARKS[name](problem_class))
 
 
 def _params_key(kind: str, params: dict[str, _t.Any]) -> str:
@@ -418,15 +428,15 @@ class GovernRequest:
         cap (label included, as the trace prints it), epoch length
         and safety factor.
         """
-        from repro import runtime
         from repro.experiments.platform import cached_governed_run
         from repro.governor import govern_run
+        from repro.platforms import platform_digest
 
         benchmark = BENCHMARKS[self.benchmark](self.problem_class)
         identity = (
-            runtime.benchmark_digest(benchmark),
+            _benchmark_digest(self.benchmark, self.problem_class),
             self.ranks,
-            runtime.spec_digest(self.spec),
+            platform_digest(self.platform),
             json.dumps(self.cap.as_dict(), sort_keys=True),
             self.epoch_phases,
             self.safety,

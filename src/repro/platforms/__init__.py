@@ -17,6 +17,7 @@ from repro.platforms.registry import (
     PlatformEntry,
     check_platform,
     get_platform,
+    platform_digest,
     platform_entry,
     platform_names,
     platform_summaries,
@@ -31,6 +32,7 @@ __all__ = [
     "PlatformEntry",
     "check_platform",
     "get_platform",
+    "platform_digest",
     "platform_entry",
     "platform_names",
     "platform_summaries",

@@ -17,6 +17,7 @@ the valid choices, mirroring the runtime's ``backend=`` error pattern.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing as _t
 
 from repro.cluster.machine import ClusterSpec
@@ -32,6 +33,7 @@ __all__ = [
     "check_platform",
     "get_platform",
     "platform_entry",
+    "platform_digest",
     "platform_summaries",
 ]
 
@@ -47,6 +49,15 @@ class PlatformEntry:
     name: str
     description: str
     factory: _t.Callable[[], ClusterSpec]
+
+    @functools.cached_property
+    def digest(self) -> str:
+        """:func:`~repro.runtime.spec_digest` of the factory's spec,
+        computed once per registration (a factory builds the same spec
+        every call)."""
+        from repro import runtime
+
+        return runtime.spec_digest(self.factory())
 
 
 _REGISTRY: dict[str, PlatformEntry] = {}
@@ -114,6 +125,11 @@ def get_platform(platform: str) -> ClusterSpec:
     return platform_entry(platform).factory()
 
 
+def platform_digest(platform: str) -> str:
+    """The spec digest of a platform (:attr:`PlatformEntry.digest`)."""
+    return platform_entry(platform).digest
+
+
 def platform_summaries() -> list[dict[str, _t.Any]]:
     """JSON-ready descriptions of every registered platform.
 
@@ -122,8 +138,6 @@ def platform_summaries() -> list[dict[str, _t.Any]]:
     digest (the cache-identity component, so operators can audit that
     two platforms never share entries).
     """
-    from repro.runtime import spec_digest
-
     summaries = []
     for name in platform_names():
         spec = get_platform(name)
@@ -146,7 +160,7 @@ def platform_summaries() -> list[dict[str, _t.Any]]:
                     }
                     for group in spec.node_groups()
                 ],
-                "spec_digest": spec_digest(spec),
+                "spec_digest": platform_digest(name),
             }
         )
     return summaries

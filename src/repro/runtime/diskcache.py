@@ -19,8 +19,15 @@ is both harmless (treated as a miss, cell re-simulated) and visible
 (the file survives for post-mortem).  The cache is also bounded: once
 it exceeds ``max_entries`` (default 4096, override with
 ``REPRO_CACHE_MAX_ENTRIES``), the least-recently-used entries are
-swept after each write; reads refresh an entry's mtime to keep warm
-campaigns resident.
+swept after a write; reads refresh an entry's mtime to keep warm
+campaigns resident.  A write lists the directory only when it could
+have passed the bound: each process counts its own writes since its
+last listing, per directory, and notices other writers through the
+directory's mtime.  Across processes the bound is therefore soft:
+another process's write that leaves no mtime this process can tell
+from its own (see :meth:`DiskCache._keep_bound`) goes uncounted, and
+the directory may overshoot by such writes until this process next
+lists it.
 
 Bump :data:`SCHEMA_VERSION` whenever simulation semantics change —
 the digest includes it, so old entries are orphaned rather than
@@ -43,6 +50,7 @@ import typing as _t
 from repro.cluster.machine import ClusterSpec
 from repro.core.measurements import TimingCampaign
 from repro.runtime import faults
+from repro.runtime.memcache import LRUCache
 from repro.settings import Settings, settings
 
 __all__ = [
@@ -63,6 +71,24 @@ SCHEMA_VERSION = 2
 
 #: Default cap on resident entries before the LRU sweep kicks in.
 DEFAULT_MAX_ENTRIES = Settings.cache_max_entries
+
+
+@dataclasses.dataclass
+class _SweepState:
+    """What a process knows of one cache directory since listing it."""
+
+    max_entries: int
+    #: Writes the directory takes before it could pass ``max_entries``.
+    headroom: int
+    #: The directory's mtime as this process last listed or changed it.
+    mtime_ns: int
+
+
+# Absolute cache root -> its sweep state.  The runtime builds a
+# DiskCache per lookup, so the state lives per directory, not per
+# instance; a process writes one or two directories.
+_SWEEPS = LRUCache(8)
+_SWEEP_LOCK = threading.Lock()
 
 # Per-process counters, shared by every DiskCache instance.  A campaign
 # cache is consulted once per campaign, not per cell, so these stay
@@ -356,6 +382,7 @@ class DiskCache:
                 document["label"] = document["label"] + "!corrupt"
         try:
             self.root.mkdir(parents=True, exist_ok=True)
+            before = os.stat(self.root).st_mtime_ns
             fd, tmp = tempfile.mkstemp(
                 dir=self.root, prefix=".tmp-", suffix=".json"
             )
@@ -366,35 +393,74 @@ class DiskCache:
             except BaseException:
                 os.unlink(tmp)
                 raise
+            after = os.stat(self.root).st_mtime_ns
         except OSError:
             return
         _count("write")
-        self._sweep()
+        self._keep_bound(before, after)
 
-    def _sweep(self) -> int:
-        """Evict least-recently-used entries beyond ``max_entries``."""
-        aged: list[tuple[float, pathlib.Path]] = []
-        try:
-            entries = list(self.root.glob("*.json"))
-        except OSError:
-            return 0
-        if len(entries) <= self.max_entries:
-            return 0
-        for path in entries:
+    def _keep_bound(self, before: int, after: int) -> None:
+        """Keep the directory within ``max_entries`` after one write
+        that moved its mtime from ``before`` to ``after``.
+
+        The write lists the directory only when it could have passed
+        the bound: once this process's writes since its last listing
+        have spent the headroom that listing left, or once the mtime
+        is not the one this process left (another writer changed the
+        directory).  Past the bound the least recently used entries go,
+        down to the bound.  The listing records the mtime from before
+        it, so a write it may have missed makes the next write list
+        again; the process's own writers wait on the lock instead.
+
+        Other processes are seen only through the mtime, so the bound is
+        soft across processes.  Another process's write that lands
+        between ``before`` and this write's rename, or in the clock tick
+        of this process's last write, leaves the mtime this process
+        expects, and is not counted.  The directory then overshoots by
+        at most the writes so missed, until this process's headroom is
+        spent or a later foreign write moves the mtime.
+        """
+        key = os.path.abspath(self.root)
+        with _SWEEP_LOCK:
+            state = _SWEEPS.get(key)
+            if (
+                state is not None
+                and state.max_entries == self.max_entries
+                and state.mtime_ns == before
+                and state.headroom > 0
+            ):
+                state.headroom -= 1
+                state.mtime_ns = after
+                return
             try:
-                aged.append((path.stat().st_mtime, path))
+                mtime_ns = os.stat(self.root).st_mtime_ns
+                entries = list(self.root.glob("*.json"))
             except OSError:
-                pass  # raced with another process's eviction
-        aged.sort(key=lambda pair: pair[0])
-        removed = 0
-        for _, path in aged[: max(0, len(aged) - self.max_entries)]:
-            try:
-                path.unlink()
-                removed += 1
-            except OSError:
-                pass
-        _count("eviction", removed)
-        return removed
+                return
+            removed = 0
+            if len(entries) > self.max_entries:
+                aged: list[tuple[float, pathlib.Path]] = []
+                for path in entries:
+                    try:
+                        aged.append((path.stat().st_mtime, path))
+                    except OSError:
+                        pass  # raced with another process's eviction
+                aged.sort(key=lambda pair: pair[0])
+                for _, path in aged[: max(0, len(aged) - self.max_entries)]:
+                    try:
+                        path.unlink()
+                        removed += 1
+                    except OSError:
+                        pass
+                _count("eviction", removed)
+            _SWEEPS.put(
+                key,
+                _SweepState(
+                    max_entries=self.max_entries,
+                    headroom=self.max_entries - (len(entries) - removed),
+                    mtime_ns=mtime_ns,
+                ),
+            )
 
     def clear(self) -> int:
         """Delete every entry (quarantined ones included); returns the

@@ -221,7 +221,8 @@ class ServiceClient:
         allow_partial: bool | None = None,
         platform: str | None = None,
     ) -> dict[str, _t.Any]:
-        """``POST /campaign`` — returns the job ticket (202).
+        """``POST /campaign`` — the finished job (200), or its ticket
+        (202) while it runs.
 
         ``fabric`` asks the service to execute on the worker fleet
         (falling back to its local pool when no workers are live);
@@ -260,7 +261,8 @@ class ServiceClient:
         seed: int | None = None,
         platform: str | None = None,
     ) -> dict[str, _t.Any]:
-        """``POST /govern`` — returns the job ticket (202).
+        """``POST /govern`` — the finished job (200), or its ticket
+        (202) while it runs.
 
         Runs a closed-loop governed simulation on the service;
         ``scenario`` names a derived power-cap scenario
@@ -305,7 +307,8 @@ class ServiceClient:
         node_cap_w: float | None = None,
         confirm: bool | None = None,
     ) -> dict[str, _t.Any]:
-        """``POST /optimize`` — returns the job ticket (202).
+        """``POST /optimize`` — the finished job (200), or its ticket
+        (202) while it runs.
 
         Searches every ``(platform, N, f)`` configuration for the
         ``objective``-optimal one under the given power budget; the
@@ -340,7 +343,8 @@ class ServiceClient:
         experiment_id: str,
         params: dict[str, _t.Any] | None = None,
     ) -> dict[str, _t.Any]:
-        """``POST /experiments/<id>`` — returns the job ticket (202)."""
+        """``POST /experiments/<id>`` — the finished job (200), or its
+        ticket (202) while it runs."""
         return self.request(
             "POST", f"/experiments/{experiment_id}", dict(params or {})
         )

@@ -1,10 +1,12 @@
 """Background job management for campaign simulation.
 
 Campaigns are minutes of CPU where predictions are microseconds, so
-the service runs them as *jobs*: ``POST /campaign`` returns a job id
-immediately and the simulation proceeds on a small thread pool (each
-thread drives the fault-tolerant :mod:`repro.runtime` process pool
-underneath).  The manager provides the serving-side guarantees:
+the service runs them as *jobs* on a small thread pool (each thread
+drives the fault-tolerant :mod:`repro.runtime` process pool
+underneath).  ``POST /campaign`` waits briefly on the job's
+:meth:`JobManager.future` and answers with the finished job, or with
+a job id to poll when it is still running.  The manager provides the
+serving-side guarantees:
 
 * **bounded admission** — at most ``max_queue`` jobs queued+running;
   beyond that submission raises :class:`JobQueueFullError` (HTTP 503)
@@ -27,6 +29,7 @@ Job state transitions: ``queued -> running -> done | failed``, or
 from __future__ import annotations
 
 import collections
+import concurrent.futures
 import dataclasses
 import threading
 import time
@@ -118,8 +121,6 @@ class JobManager:
         max_queue: int = 64,
         ttl_s: float = 900.0,
     ) -> None:
-        import concurrent.futures
-
         self.max_queue = max(1, int(max_queue))
         self.max_finished = FINISHED_PER_SLOT * self.max_queue
         self.ttl_s = max(0.0, float(ttl_s))
@@ -130,7 +131,7 @@ class JobManager:
         self._finished: collections.deque[Job] = collections.deque()
         self._statuses: collections.Counter[str] = collections.Counter()
         self._by_key: dict[str, str] = {}  # key -> active job id
-        self._futures: dict[str, _t.Any] = {}
+        self._futures: dict[str, concurrent.futures.Future] = {}
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=max(1, int(max_workers)),
             thread_name_prefix="repro-job",
@@ -144,6 +145,8 @@ class JobManager:
         self.failed = 0
         self.cancelled = 0
         self.expired = 0
+        #: Submissions answered with their finished job (see :meth:`answer`).
+        self.answered = 0
         #: Finished jobs dropped by the count bound before their TTL.
         self.evictions = 0
 
@@ -268,6 +271,24 @@ class JobManager:
         with self._lock:
             return self._active()
 
+    def future(self, job_id: str) -> concurrent.futures.Future | None:
+        """The future a job's thread completes, while the job is active.
+
+        ``None`` once the job has finished: its document is then final.
+        """
+        with self._lock:
+            return self._futures.get(job_id)
+
+    def answer(self, job_id: str) -> Job | None:
+        """The job behind a submission if it has finished, counted as
+        ``answered``; ``None`` while it is active or once dropped."""
+        with self._lock:
+            job = self._jobs.get(job_id)
+            if job is None or job.status in _ACTIVE:
+                return None
+            self.answered += 1
+            return job
+
     # -- lifecycle ---------------------------------------------------------------
 
     def cancel(self, job_id: str) -> Job:
@@ -372,6 +393,7 @@ class JobManager:
                 "failed": self.failed,
                 "cancelled": self.cancelled,
                 "expired": self.expired,
+                "answered": self.answered,
                 "retained": len(self._jobs),
                 "by_status": {
                     status: count

@@ -66,6 +66,21 @@ class TestOpenLoopRun:
         assert result["finalized"] is True
         assert trace.transitions > 0
 
+    def test_header_records_no_epoch_or_safety(self, monkeypatch):
+        """The open-loop path reads neither setting, so equal runs under
+        different ones digest equal."""
+        policy = PhaseTablePolicy({}, mhz(1400))
+        runs = []
+        for epoch, safety in (("4", "0.9"), ("8", "0.5")):
+            monkeypatch.setenv("REPRO_GOVERNOR_EPOCH", epoch)
+            monkeypatch.setenv("REPRO_GOVERNOR_SAFETY", safety)
+            runs.append(govern_run(FT_S, 4, policy, spec=SPEC))
+        first, second = runs
+        assert first.elapsed_s == second.elapsed_s == 1.330859719212288
+        assert first.trace.digest() == second.trace.digest()
+        header = first.trace.to_document()
+        assert (header["epoch_phases"], header["safety"]) == (None, None)
+
     def test_nodes_boot_at_the_base_point(self):
         """A static peak schedule pays one transition per node, before
         its first phase; a static base schedule pays none."""

@@ -12,6 +12,7 @@ import json
 import pytest
 
 import repro.governor
+from repro import runtime
 from repro.experiments import platform
 from repro.governor import govern_run, power_cap_scenarios
 from repro.npb import BENCHMARKS
@@ -95,6 +96,25 @@ def test_warm_hit_runs_no_simulation(tier, simulations):
     assert simulations == [0, 0]
     assert document["trace"]["seed"] == 3
     assert tier.stats()["hits"] == 2
+
+
+def test_warm_run_computes_no_identity_digest(tier, monkeypatch):
+    """The spec digest is kept per platform and the benchmark digest per
+    (benchmark, class), so a warm run hashes nothing."""
+    calls = []
+    for name in ("spec_digest", "benchmark_digest"):
+        real = getattr(runtime, name)
+
+        def counting(*args, _real=real, _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(runtime, name, counting)
+    request = GovernRequest("ft", ranks=4, policy="reactive", scenario="node_cap")
+    cold = canonical(request.document())
+    calls.clear()
+    assert canonical(request.document()) == cold
+    assert calls == []
 
 
 def test_handed_out_runs_are_copies(tier):

@@ -5,6 +5,9 @@ and concurrent multi-process access to one cache directory."""
 import json
 import multiprocessing
 import os
+import pathlib
+import sys
+import threading
 import time
 
 import pytest
@@ -167,6 +170,71 @@ class TestLruSweep:
         assert cache.get("a") is not None
         assert cache.get("b") is None  # b became the oldest
         assert cache.get("c") is not None
+
+    def test_writes_below_the_bound_list_the_directory_once(
+        self, tmp_path, monkeypatch
+    ):
+        listings = []
+        glob = pathlib.Path.glob
+
+        def counting(path, pattern):
+            if path == tmp_path:
+                listings.append(pattern)
+            return glob(path, pattern)
+
+        monkeypatch.setattr(pathlib.Path, "glob", counting)
+        # A fresh instance per write, as the runtime builds them.
+        for index in range(50):
+            DiskCache(tmp_path, max_entries=100).put(f"d{index}", _campaign())
+        # The first write learns the count; the other 49 cannot pass 100.
+        assert listings == ["*.json"]
+
+    def test_bound_holds_past_overflows(self, tmp_path):
+        for index in range(40):
+            DiskCache(tmp_path, max_entries=16).put(f"d{index:02d}", _campaign())
+            # Distinct, increasing recency whatever the clock's grain.
+            os.utime(tmp_path / f"d{index:02d}.json", (index, index))
+            assert len(DiskCache(tmp_path)) <= 16
+        survivors = sorted(path.stem for path in tmp_path.glob("*.json"))
+        newest = [f"d{index:02d}" for index in range(40)][-len(survivors):]
+        assert survivors == newest
+
+    def test_concurrent_writers_keep_the_bound(self, tmp_path):
+        """Threads writing one directory at once lose no write's count:
+        once they finish, the bound holds."""
+
+        def writer(offset):
+            for index in range(40):
+                DiskCache(tmp_path, max_entries=16).put(
+                    f"t{offset}-{index}", _campaign()
+                )
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=writer, args=(offset,))
+                for offset in range(6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(DiskCache(tmp_path)) <= 16
+
+    def test_another_writer_makes_the_next_write_list(self, tmp_path):
+        cache = DiskCache(tmp_path, max_entries=4)
+        cache.put("a", _campaign())  # lists: three writes of headroom
+        for name in "bcde":  # entries another process wrote
+            (tmp_path / f"{name}.json").write_text("{}")
+        # As the clock moves on; a coarse clock may not have yet.
+        stamp = os.stat(tmp_path).st_mtime_ns + 10**9
+        os.utime(tmp_path, ns=(stamp, stamp))
+        cache.put("f", _campaign())
+        assert len(cache) == 4
 
     def test_max_entries_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_CACHE_MAX_ENTRIES", "7")

@@ -31,7 +31,8 @@ class TestRunExperiment:
         ticket = client.submit_experiment(
             "table5", {"problem_class": "S"}
         )
-        assert ticket["status"] in ("queued", "running")
+        # Answered with the finished job, or its ticket while active.
+        assert ticket["status"] in ("queued", "running", "done")
         assert ticket["poll"] == f"/jobs/{ticket['job_id']}"
         document = client.wait_for_job(ticket["job_id"])
         assert document["status"] == "done"

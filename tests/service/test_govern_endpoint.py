@@ -20,7 +20,8 @@ class TestGovernEndpoint:
             scenario="cluster_cap",
             seed=3,
         )
-        assert ticket["status"] in ("queued", "running")
+        # Answered with the finished job, or its ticket while active.
+        assert ticket["status"] in ("queued", "running", "done")
         assert ticket["poll"] == f"/jobs/{ticket['job_id']}"
         document = client.wait_for_job(ticket["job_id"])
         assert document["status"] == "done"

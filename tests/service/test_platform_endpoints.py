@@ -102,7 +102,8 @@ class TestOptimizeEndpoint:
             scenario="cluster_cap",
             confirm=False,
         )
-        assert ticket["status"] in ("queued", "running")
+        # Answered with the finished job, or its ticket while active.
+        assert ticket["status"] in ("queued", "running", "done")
         document = client.wait_for_job(ticket["job_id"])
         assert document["status"] == "done"
         result = document["result"]
