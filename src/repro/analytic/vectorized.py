@@ -6,9 +6,9 @@ Every function here evaluates one of the model's scalar closed forms
 performing *the same IEEE-754 double operations in the same order* as
 the scalar code.  That makes the vectorized results bit-identical to a
 per-cell Python loop — the guarantee the analytic campaign backend and
-the service's micro-batched ``/predict`` path both rely on, and the
-property the tests in ``tests/analytic/test_vectorized_identity.py``
-pin with exact ``==`` comparisons.
+the service's ``/predict`` path both rely on, and the property the
+tests in ``tests/analytic/test_vectorized_identity.py`` pin with exact
+``==`` comparisons.
 
 The bit-identity argument: elementwise numpy arithmetic on float64
 arrays applies the identical hardware double operation per element

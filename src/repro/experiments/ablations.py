@@ -214,6 +214,7 @@ OVERHEAD_SPEC = register_spec(
         title=OVERHEAD_TITLE,
         description="SP errors on a platform with CPU-bound messaging",
         requires=_overhead_requires,
+        params=("problem_class", "cycles_per_byte", "counts"),
         stages=(
             Stage("fit", _overhead_fit),
             Stage("render", _overhead_render),
@@ -409,6 +410,7 @@ DECOMPOSITION_SPEC = register_spec(
         title=DECOMPOSITION_TITLE,
         description="Both FT decompositions on the stock switch and a gigabit variant",
         requires=_decomposition_requires,
+        params=("problem_class", "n_ranks"),
         stages=(
             Stage("analyze", _decomposition_analyze),
             Stage("render", _decomposition_render),

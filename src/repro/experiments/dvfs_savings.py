@@ -107,6 +107,7 @@ SPEC = register_spec(
         experiment_id="dvfs_savings",
         title=TITLE,
         description="Profile-driven per-phase DVFS on comm-bound codes vs static peak",
+        params=("problem_class", "benchmark", "threshold", "counts"),
         stages=(
             Stage("analyze", _analyze),
             Stage("render", _render),

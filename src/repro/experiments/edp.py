@@ -134,6 +134,7 @@ SPEC = register_spec(
         title=TITLE,
         description="SP + energy model vs simulated times/energies/EDPs per benchmark",
         requires=_requires,
+        params=("problem_class", "benchmarks"),
         stages=(
             Stage("analyze", _analyze),
             Stage("render", _render),

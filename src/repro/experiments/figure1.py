@@ -100,6 +100,7 @@ SPEC = register_spec(
             "Eq. 12 check"
         ),
         requires=_requires,
+        params=("problem_class", "counts", "frequencies"),
         stages=(
             Stage("fit", _fit),
             Stage("analyze", _analyze),

@@ -112,6 +112,7 @@ SPEC = register_spec(
         title=TITLE,
         description="FT time series per frequency + (N, f) speedup surface",
         requires=_requires,
+        params=("problem_class", "counts", "frequencies"),
         stages=(
             Stage("fit", _fit),
             Stage("analyze", _analyze),

@@ -219,6 +219,15 @@ SPEC = register_spec(
             "Closed-loop governed runs: static, oracle, reactive and "
             "model-predictive policies compared on EDP under power caps"
         ),
+        params=(
+            "problem_class",
+            "benchmarks",
+            "n_ranks",
+            "scenarios",
+            "epoch_phases",
+            "safety",
+            "seed",
+        ),
         stages=(
             Stage("fit", _fit),
             Stage("analyze", _analyze),

@@ -242,6 +242,7 @@ SPEC = register_spec(
             "grid via DES (planner-deduped), alternatives analytic"
         ),
         requires=_requires,
+        params=("problem_class", "benchmark", "objective", "scenario"),
         stages=(
             Stage("analyze", _analyze),
             Stage("render", _render),

@@ -183,6 +183,7 @@ SPEC = register_spec(
         title=TITLE,
         description="SP-predicted throttling benefit per config, validated by real runs",
         requires=_requires,
+        params=("problem_class", "benchmark", "counts"),
         stages=(
             Stage("fit", _fit),
             Stage("analyze", _analyze),

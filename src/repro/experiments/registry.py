@@ -7,9 +7,6 @@ the benchmark harness discover them through :func:`list_experiments` /
 :mod:`repro.experiments` (minus the infrastructure modules) is
 imported for its registration side effects, so a new experiment file
 can never be silently unregistered by a stale import list.
-
-:func:`register` remains as a legacy adapter wrapping an imperative
-runner function into a single-stage spec.
 """
 
 from __future__ import annotations
@@ -26,7 +23,6 @@ if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "ExperimentResult",
-    "register",
     "register_spec",
     "get_experiment",
     "list_experiments",
@@ -87,36 +83,6 @@ def register_spec(spec: "ExperimentSpec") -> "ExperimentSpec":
     """Register a declarative experiment spec under its id."""
     _REGISTRY[spec.experiment_id] = spec
     return spec
-
-
-def register(
-    experiment_id: str, title: str, description: str = ""
-) -> _t.Callable:
-    """Legacy decorator: wrap an imperative runner into a spec.
-
-    The wrapped function keeps its old contract — called with the
-    run's keyword parameters, returns an :class:`ExperimentResult` —
-    and appears in the registry as a single-``render``-stage spec
-    with no declared campaign requests (its campaigns still hit the
-    platform caches, which the planner keeps warm).
-    """
-
-    def wrap(fn: _t.Callable[..., ExperimentResult]):
-        from repro.pipeline.experiment import ExperimentSpec, Stage
-
-        register_spec(
-            ExperimentSpec(
-                experiment_id=experiment_id,
-                title=title,
-                stages=(
-                    Stage("render", lambda ctx: fn(**ctx.params)),
-                ),
-                description=description or fn.__doc__ or "",
-            )
-        )
-        return fn
-
-    return wrap
 
 
 def _ensure_loaded() -> None:

@@ -183,6 +183,7 @@ SPEC = register_spec(
         experiment_id="slack_savings",
         title=TITLE,
         description="Per-rank DVFS sized to measured slack vs static peak",
+        params=("problem_class", "n_ranks", "imbalance", "safety"),
         stages=(
             Stage("analyze", _analyze),
             Stage("render", _render),

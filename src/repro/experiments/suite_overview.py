@@ -116,6 +116,7 @@ SPEC = register_spec(
         title=TITLE,
         description="Corner-grid sweep of every benchmark model at class A",
         requires=_requires,
+        params=("problem_class", "benchmarks", "n_max"),
         stages=(
             Stage("analyze", _analyze),
             Stage("render", _render),

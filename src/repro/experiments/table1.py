@@ -92,6 +92,7 @@ SPEC = register_spec(
             "speedups"
         ),
         requires=_requires,
+        params=("problem_class", "counts", "frequencies"),
         stages=(
             Stage("fit", _fit),
             Stage("analyze", _analyze),

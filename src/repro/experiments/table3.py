@@ -90,6 +90,7 @@ SPEC = register_spec(
             "Simplified parameterization fitted to FT, errors over the grid"
         ),
         requires=_requires,
+        params=("problem_class", "counts", "frequencies"),
         stages=(
             Stage("fit", _fit),
             Stage("analyze", _analyze),

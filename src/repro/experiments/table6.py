@@ -127,6 +127,7 @@ SPEC = register_spec(
         experiment_id="table6",
         title=TITLE,
         description="LMBENCH-style level latencies + MPPTEST-style message times",
+        params=("problem_class", "repetitions"),
         stages=(
             Stage("fit", _fit),
             Stage("analyze", _analyze),

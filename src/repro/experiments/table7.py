@@ -158,6 +158,7 @@ SPEC = register_spec(
         title=TITLE,
         description="Both parameterizations fitted to LU, error tables side by side",
         requires=_requires,
+        params=("problem_class", "counts"),
         stages=(
             Stage("fit", _fit),
             Stage("analyze", _analyze),

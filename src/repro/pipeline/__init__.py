@@ -7,8 +7,9 @@ concerns:
 
 * :mod:`~repro.pipeline.requests` — :class:`CampaignRequest`, the
   typed, content-addressed description of what an experiment needs,
-  and :class:`GovernRequest`/:class:`OptimizeRequest`, the other two
-  parameterized jobs the CLI and the service share.
+  :class:`GovernRequest`/:class:`OptimizeRequest`, the other two
+  parameterized jobs the CLI and the service share, and
+  :class:`PredictRequest`, the service's ``/predict`` query.
 * :mod:`~repro.pipeline.planner` — dedupes requests across any set of
   experiments, executes the union of missing cells as one batch per
   (benchmark config, platform) group via
@@ -53,6 +54,7 @@ from repro.pipeline.requests import (
     CampaignRequest,
     GovernRequest,
     OptimizeRequest,
+    PredictRequest,
 )
 from repro.pipeline.store import ArtifactStore, campaign_artifact_name
 
@@ -67,6 +69,7 @@ __all__ = [
     "GovernRequest",
     "OptimizeRequest",
     "PlanReport",
+    "PredictRequest",
     "Provenance",
     "Stage",
     "StageContext",

@@ -33,7 +33,7 @@ from repro.pipeline.artifacts import (
     inputs_digest,
 )
 from repro.pipeline.planner import PlanReport, execute_plan
-from repro.pipeline.requests import CampaignRequest
+from repro.pipeline.requests import CampaignRequest, checked_body
 from repro.pipeline.store import ArtifactStore
 
 __all__ = [
@@ -80,6 +80,10 @@ class ExperimentSpec:
         measure nothing through campaigns (pure profiling studies).
     description:
         Listing description (defaults to the title).
+    params:
+        The parameter names its ``requires`` hook and its stages read;
+        the service rejects a run naming any other
+        (:meth:`params_from_body`).
     """
 
     experiment_id: str
@@ -87,6 +91,15 @@ class ExperimentSpec:
     stages: tuple[Stage, ...]
     requires: RequiresHook | tuple[CampaignRequest, ...] = ()
     description: str = ""
+    params: tuple[str, ...] = ("problem_class",)
+
+    def params_from_body(self, body: _t.Any) -> Params:
+        """The run parameters a JSON request body names.
+
+        A body that is not an object, or that names a parameter outside
+        :attr:`params`, raises :class:`~repro.errors.ConfigurationError`.
+        """
+        return dict(checked_body(body, self.params))
 
     def resolve_requests(
         self, params: Params

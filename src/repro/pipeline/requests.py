@@ -16,10 +16,16 @@ no matter which experiments issued them.
 The CLI (``repro-experiments campaign|govern|optimize``) and the
 service (``POST /campaign|/govern|/optimize``) build the same requests
 for their jobs: :class:`CampaignRequest`, :class:`GovernRequest` and
-:class:`OptimizeRequest`.  Each constructor validates every field and
+:class:`OptimizeRequest`; ``POST /predict`` builds a
+:class:`PredictRequest`.  Each constructor validates every field and
 raises :class:`~repro.errors.ConfigurationError` naming a bad one.
-For the service's job path each provides ``job_key()``,
+For the service's job path each job request provides ``job_key()``,
 ``ticket_key()``, ``label``, ``params()`` and ``document()``.
+
+The service builds all four from JSON bodies through one parser,
+:func:`parse_body`: each request declares its body fields and their
+types once, in ``BODY``, and a body naming any other key is rejected
+(:func:`checked_body`) before anything runs.
 """
 
 from __future__ import annotations
@@ -35,15 +41,98 @@ from repro.errors import ConfigurationError
 from repro.npb import BENCHMARKS, ProblemClass
 from repro.npb.base import BenchmarkModel
 from repro.settings import settings
+from repro.units import mhz
 
 if _t.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.measurements import TimingCampaign
     from repro.governor import GovernedRun, PowerCap
     from repro.optimizer import OptimizeResult
 
-__all__ = ["CampaignRequest", "GovernRequest", "OptimizeRequest"]
+__all__ = [
+    "CampaignRequest",
+    "GovernRequest",
+    "OptimizeRequest",
+    "PredictRequest",
+    "checked_body",
+    "parse_body",
+]
 
 Cell = tuple[int, float]
+
+#: The body fields every request shares: name -> type.
+_WORKLOAD: dict[str, _t.Any] = {"benchmark": str, "class": str}
+#: The power-cap fields of ``/govern`` and ``/optimize``.
+_CAP: dict[str, _t.Any] = {
+    "scenario": str,
+    "cluster_cap_w": float,
+    "node_cap_w": float,
+}
+
+
+def checked_body(
+    body: _t.Any, accepted: _t.Collection[str]
+) -> dict[str, _t.Any]:
+    """``body`` once it is a JSON object naming only ``accepted`` keys.
+
+    Anything else raises :class:`~repro.errors.ConfigurationError`: a
+    body that is not an object, or a key outside ``accepted`` (the error
+    names it and lists the accepted ones), so a misspelt field is
+    rejected instead of silently taking its default.
+    """
+    if not isinstance(body, dict):
+        raise ConfigurationError("request body must be a JSON object")
+    unknown = [name for name in body if name not in accepted]
+    if unknown:
+        raise ConfigurationError(
+            f"unknown field {', '.join(map(repr, unknown))}; accepted: "
+            + ", ".join(accepted)
+        )
+    return body
+
+
+def parse_body(fields: dict[str, _t.Any], body: _t.Any) -> dict[str, _t.Any]:
+    """A request's constructor arguments from a JSON body.
+
+    ``fields`` maps each accepted body key to its type, or ``[type]``
+    for a list; a request class declares them as ``BODY``.  Absent and
+    null fields are left out, so they take the request's defaults;
+    ``class`` becomes ``problem_class``.  An undeclared key, a value of
+    another type or a missing ``benchmark`` raises
+    :class:`~repro.errors.ConfigurationError` naming the field.
+    """
+    values: dict[str, _t.Any] = {}
+    for name, value in checked_body(body, fields).items():
+        if value is None:
+            continue
+        kind = fields[name]
+        many = isinstance(kind, list)
+        item = kind[0] if many else kind
+        try:
+            if many and not isinstance(value, list):
+                raise TypeError
+            value = tuple(map(item, value)) if many else item(value)
+        except (TypeError, ValueError):
+            shape = f"a list of {item.__name__}" if many else item.__name__
+            raise ConfigurationError(
+                f"{name!r} must be {shape}, got {body[name]!r}"
+            ) from None
+        values["problem_class" if name == "class" else name] = value
+    if "benchmark" not in values:
+        raise ConfigurationError("request needs a 'benchmark' field")
+    return values
+
+
+class _FromBody:
+    """A request the service builds from a JSON body."""
+
+    #: The body fields: name -> type, or ``[type]`` for a list.
+    BODY: _t.ClassVar[dict[str, _t.Any]]
+
+    @classmethod
+    def from_body(cls, body: _t.Any, **defaults: _t.Any) -> _t.Any:
+        """The request a JSON body names (see :func:`parse_body`);
+        ``defaults`` fill the fields the body leaves out."""
+        return cls(**{**defaults, **parse_body(cls.BODY, body)})
 
 
 def _check_workload(request: _t.Any) -> None:
@@ -75,7 +164,7 @@ def _params_key(kind: str, params: dict[str, _t.Any]) -> str:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class CampaignRequest:
+class CampaignRequest(_FromBody):
     """One declarative (benchmark × counts × frequencies) requirement.
 
     Attributes
@@ -115,6 +204,16 @@ class CampaignRequest:
         How a job measures, not what: neither is part of the campaign
         identity, but ``allow_partial`` is part of the job key.
     """
+
+    BODY = {
+        **_WORKLOAD,
+        "counts": [int],
+        "frequencies_mhz": [float],
+        "backend": str,
+        "platform": str,
+        "fabric": bool,
+        "allow_partial": bool,
+    }
 
     benchmark: str
     problem_class: ProblemClass | str = ProblemClass.A
@@ -186,7 +285,6 @@ class CampaignRequest:
         ``frequencies_mhz`` narrow it, with the runtime's backend and
         platform unless ``backend`` and ``platform`` name them."""
         from repro.experiments.platform import PAPER_COUNTS, PAPER_FREQUENCIES
-        from repro.units import mhz
 
         resolved = settings(backend=backend, platform=platform)
         return cls(
@@ -203,6 +301,11 @@ class CampaignRequest:
             fabric=fabric,
             allow_partial=allow_partial,
         )
+
+    @classmethod
+    def from_body(cls, body: _t.Any, **defaults: _t.Any) -> "CampaignRequest":
+        """The campaign job a JSON body names (see :meth:`for_job`)."""
+        return cls.for_job(**{**defaults, **parse_body(cls.BODY, body)})
 
     @property
     def label(self) -> str:
@@ -333,7 +436,7 @@ class CampaignRequest:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class GovernRequest:
+class GovernRequest(_FromBody):
     """One governed run plus its static baseline under the same cap.
 
     Fields left at ``None`` take their runtime defaults.  The cap comes
@@ -346,6 +449,17 @@ class GovernRequest:
     seedless identity and re-stamps the trace with this request's
     seed: every result equals an uncached run under that seed.
     """
+
+    BODY = {
+        **_WORKLOAD,
+        "ranks": int,
+        "policy": str,
+        **_CAP,
+        "platform": str,
+        "epoch_phases": int,
+        "safety": float,
+        "seed": int,
+    }
 
     benchmark: str
     problem_class: ProblemClass | str = ProblemClass.A
@@ -488,12 +602,21 @@ class GovernRequest:
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
-class OptimizeRequest:
+class OptimizeRequest(_FromBody):
     """One ``(platform, N, f)`` search for the optimal configuration.
 
     ``None`` platforms and counts search every registered platform over
     the paper counts; the cap is sized to the largest count.
     """
+
+    BODY = {
+        **_WORKLOAD,
+        "objective": str,
+        "platforms": [str],
+        "counts": [int],
+        **_CAP,
+        "confirm": bool,
+    }
 
     benchmark: str
     problem_class: ProblemClass | str = ProblemClass.A
@@ -582,3 +705,62 @@ class OptimizeRequest:
     def document(self) -> dict[str, _t.Any]:
         """Search; the full candidate ranking."""
         return self.run().as_dict()
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class PredictRequest(_FromBody):
+    """One ``/predict`` query: closed-form predictions of one fitted model.
+
+    The model is the SP and energy fit of ``benchmark`` and
+    ``problem_class`` on ``platform``'s campaign.  The points are the
+    ``cells`` (``"N@fMHz"`` keys), then the ``counts`` ×
+    ``frequencies_mhz`` cross-product, without repeats; an empty
+    ``points`` asks for the model's full fitted grid.
+    """
+
+    BODY = {
+        **_WORKLOAD,
+        "platform": str,
+        "cells": [str],
+        "counts": [int],
+        "frequencies_mhz": [float],
+    }
+
+    benchmark: str
+    problem_class: ProblemClass | str = ProblemClass.A
+    platform: str = "paper"
+    cells: tuple[str, ...] = ()
+    counts: tuple[int, ...] | None = None
+    frequencies_mhz: tuple[float, ...] | None = None
+    points: tuple[Cell, ...] = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        from repro.platforms import check_platform
+        from repro.service.protocol import parse_grid_key
+
+        _check_workload(self)
+        object.__setattr__(self, "platform", check_platform(self.platform))
+        points = [parse_grid_key(key) for key in self.cells]
+        if self.counts is not None or self.frequencies_mhz is not None:
+            if not self.counts or not self.frequencies_mhz:
+                raise ConfigurationError(
+                    "'counts' and 'frequencies_mhz' must be given together "
+                    "and non-empty"
+                )
+            points.extend(
+                (int(n), mhz(m))
+                for n in self.counts
+                for m in self.frequencies_mhz
+            )
+        if any(n < 1 for n, _ in points):
+            raise ConfigurationError("processor counts must be >= 1")
+        object.__setattr__(self, "points", tuple(dict.fromkeys(points)))
+
+    @property
+    def model(self) -> tuple[str, str, str]:
+        """``(benchmark, class letter, platform)``: the fitted model asked."""
+        return (self.benchmark, self.problem_class.value, self.platform)
+
+    def key(self) -> tuple:
+        """The response-cache key: the model and the points."""
+        return ("predict", *self.model, self.points)

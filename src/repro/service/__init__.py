@@ -13,10 +13,9 @@ The workload is asymmetric, and the service is shaped around that:
 * **Predictions are closed-form and cheap** (the paper's Eqs. 10–18
   reduce to a handful of float operations once a parameterization is
   fitted), so ``POST /predict`` answers synchronously — sub-millisecond
-  on a warm model — with concurrent identical requests *coalesced*
-  into one computation and concurrent distinct requests *micro-batched*
-  into single vectorized numpy evaluations
-  (:mod:`repro.service.coalesce`).
+  on a warm model — with one vectorized numpy evaluation per request
+  behind a bounded response cache; concurrent requests that wait for
+  the same model's fit share one fit (:mod:`repro.service.coalesce`).
 * **Campaign simulation is expensive and cacheable**, so ``POST
   /campaign`` submits a background job (:mod:`repro.service.jobs`)
   onto the fault-tolerant :mod:`repro.runtime` pool, deduplicated
@@ -50,7 +49,7 @@ all.
 
 from repro.runtime.memcache import LRUCache
 from repro.service.client import ServiceClient, ServiceError
-from repro.service.coalesce import Coalescer, PredictBatcher
+from repro.service.coalesce import Coalescer
 from repro.service.jobs import Job, JobManager, JobQueueFullError
 from repro.service.server import (
     ReproService,
@@ -65,7 +64,6 @@ __all__ = [
     "JobManager",
     "JobQueueFullError",
     "LRUCache",
-    "PredictBatcher",
     "ReproService",
     "ServiceClient",
     "ServiceConfig",

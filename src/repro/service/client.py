@@ -35,6 +35,16 @@ _TRANSIENT_ERRORS = (
 )
 
 
+def _body(
+    benchmark: str, problem_class: str, **fields: _t.Any
+) -> dict[str, _t.Any]:
+    """A JSON request body: the workload, then each field that has a
+    value (``None`` leaves it out, so the service applies its default)."""
+    body = {"benchmark": benchmark, "class": problem_class}
+    body.update((k, v) for k, v in fields.items() if v is not None)
+    return body
+
+
 class ServiceError(RuntimeError):
     """A non-2xx response from the service."""
 
@@ -196,18 +206,14 @@ class ServiceClient:
         fitted grid; ``platform`` selects a registered platform (the
         service fits one model per benchmark × class × platform).
         """
-        body: dict[str, _t.Any] = {
-            "benchmark": benchmark,
-            "class": problem_class,
-        }
-        if cells is not None:
-            body["cells"] = list(cells)
-        if counts is not None:
-            body["counts"] = list(counts)
-        if frequencies_mhz is not None:
-            body["frequencies_mhz"] = list(frequencies_mhz)
-        if platform is not None:
-            body["platform"] = platform
+        body = _body(
+            benchmark,
+            problem_class,
+            cells=cells,
+            counts=counts,
+            frequencies_mhz=frequencies_mhz,
+            platform=platform,
+        )
         return self.request("POST", "/predict", body)
 
     def submit_campaign(
@@ -230,20 +236,15 @@ class ServiceClient:
         metadata instead of failing outright; ``platform`` selects a
         registered platform for the grid.
         """
-        body: dict[str, _t.Any] = {
-            "benchmark": benchmark,
-            "class": problem_class,
-        }
-        if counts is not None:
-            body["counts"] = list(counts)
-        if frequencies_mhz is not None:
-            body["frequencies_mhz"] = list(frequencies_mhz)
-        if fabric is not None:
-            body["fabric"] = bool(fabric)
-        if allow_partial is not None:
-            body["allow_partial"] = bool(allow_partial)
-        if platform is not None:
-            body["platform"] = platform
+        body = _body(
+            benchmark,
+            problem_class,
+            counts=counts,
+            frequencies_mhz=frequencies_mhz,
+            fabric=fabric,
+            allow_partial=allow_partial,
+            platform=platform,
+        )
         return self.request("POST", "/campaign", body)
 
     def submit_govern(
@@ -271,27 +272,19 @@ class ServiceClient:
         full decision trace and the EDP comparison against the static
         baseline under the same cap.
         """
-        body: dict[str, _t.Any] = {
-            "benchmark": benchmark,
-            "class": problem_class,
-            "ranks": int(ranks),
-        }
-        if policy is not None:
-            body["policy"] = policy
-        if scenario is not None:
-            body["scenario"] = scenario
-        if cluster_cap_w is not None:
-            body["cluster_cap_w"] = float(cluster_cap_w)
-        if node_cap_w is not None:
-            body["node_cap_w"] = float(node_cap_w)
-        if epoch_phases is not None:
-            body["epoch_phases"] = int(epoch_phases)
-        if safety is not None:
-            body["safety"] = float(safety)
-        if seed is not None:
-            body["seed"] = int(seed)
-        if platform is not None:
-            body["platform"] = platform
+        body = _body(
+            benchmark,
+            problem_class,
+            ranks=ranks,
+            policy=policy,
+            scenario=scenario,
+            cluster_cap_w=cluster_cap_w,
+            node_cap_w=node_cap_w,
+            epoch_phases=epoch_phases,
+            safety=safety,
+            seed=seed,
+            platform=platform,
+        )
         return self.request("POST", "/govern", body)
 
     def submit_optimize(
@@ -315,23 +308,17 @@ class ServiceClient:
         finished job's result is the full candidate ranking with the
         winner's DES confirmation.
         """
-        body: dict[str, _t.Any] = {
-            "benchmark": benchmark,
-            "class": problem_class,
-            "objective": objective,
-        }
-        if platforms is not None:
-            body["platforms"] = list(platforms)
-        if counts is not None:
-            body["counts"] = list(counts)
-        if scenario is not None:
-            body["scenario"] = scenario
-        if cluster_cap_w is not None:
-            body["cluster_cap_w"] = float(cluster_cap_w)
-        if node_cap_w is not None:
-            body["node_cap_w"] = float(node_cap_w)
-        if confirm is not None:
-            body["confirm"] = bool(confirm)
+        body = _body(
+            benchmark,
+            problem_class,
+            objective=objective,
+            platforms=platforms,
+            counts=counts,
+            scenario=scenario,
+            cluster_cap_w=cluster_cap_w,
+            node_cap_w=node_cap_w,
+            confirm=confirm,
+        )
         return self.request("POST", "/optimize", body)
 
     def experiments(self) -> dict[str, _t.Any]:

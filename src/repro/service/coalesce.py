@@ -1,27 +1,24 @@
-"""Request coalescing and micro-batched prediction.
+"""Fitted predictors, vectorized prediction and single-flight fitting.
 
-Two distinct sharing mechanisms live here:
-
+* :class:`PredictorBundle` — one fitted model (SP + energy) that
+  ``/predict`` answers from.
+* :func:`evaluate_points` — one vectorized numpy pass over a request's
+  grid points.
 * :class:`Coalescer` — *single-flight* execution: identical concurrent
   requests share one in-flight computation.  The first arrival runs
   the factory; every later identical arrival (until the result lands)
-  awaits the same future.  The service uses it for predictor fitting,
-  predict responses and campaign-job submission alike.
-* :class:`PredictBatcher` — *micro-batching*: concurrent ``/predict``
-  requests that reach the event loop in the same scheduling window are
-  flushed together, and all their grid points are evaluated in one
-  vectorized numpy pass per model instead of one Python call per point.
+  awaits the same future.  The service uses it for predictor fitting.
 
 Bit-exactness is load-bearing: :func:`evaluate_points` performs the
 same IEEE-754 double operations the scalar
 :meth:`~repro.core.params_sp.SimplifiedParameterization.predict_time`
 path performs (one divide, one add per point), just element-wise over
-an array, so a batched response is bit-identical to an unbatched one —
-and both are bit-identical to calling the model directly.  The
-element-wise kernels themselves (:func:`repro.analytic.vectorized.
-sp_times`, :func:`~repro.analytic.vectorized.energy_joules`) are
-shared with the analytic campaign backend, so the service and
-``backend="analytic"`` agree by construction.
+an array, so a response is bit-identical to calling the model directly
+for each point.  The element-wise kernels themselves
+(:func:`repro.analytic.vectorized.sp_times`,
+:func:`~repro.analytic.vectorized.energy_joules`) are shared with the
+analytic campaign backend, so the service and ``backend="analytic"``
+agree by construction.
 """
 
 from __future__ import annotations
@@ -40,7 +37,6 @@ from repro.errors import MeasurementError
 
 __all__ = [
     "Coalescer",
-    "PredictBatcher",
     "PredictorBundle",
     "evaluate_points",
 ]
@@ -71,7 +67,7 @@ class PredictorBundle:
 def evaluate_points(
     bundle: PredictorBundle, points: _t.Sequence[GridPoint]
 ) -> dict[GridPoint, dict[str, float]]:
-    """One vectorized pass over a batch of grid points.
+    """One vectorized pass over a set of grid points.
 
     Returns ``{(n, f): {"time_s", "speedup", "energy_j", "edp"}}``
     where every float is bit-identical to the scalar
@@ -179,104 +175,3 @@ class Coalescer:
         if not future.done():
             future.set_result(result)
         return result, False
-
-
-class _PendingPredict(_t.NamedTuple):
-    bundle: PredictorBundle
-    points: tuple[GridPoint, ...]
-    future: asyncio.Future
-
-
-class PredictBatcher:
-    """Flush concurrent predict evaluations as vectorized batches.
-
-    ``evaluate`` never computes inline: it parks the request and
-    schedules one flush per event-loop scheduling window.  Whatever
-    accumulated by the time the flush callback runs — under concurrent
-    load, many requests — is grouped per model and evaluated with one
-    :func:`evaluate_points` call each.
-    """
-
-    def __init__(self) -> None:
-        self._pending: list[_PendingPredict] = []
-        self._flush_scheduled = False
-        #: Flush rounds executed.
-        self.batches = 0
-        #: Evaluation requests served.
-        self.requests = 0
-        #: Grid points evaluated across all batches (pre-dedup).
-        self.batched_points = 0
-        #: Largest number of requests sharing one flush.
-        self.max_batch = 0
-
-    async def evaluate(
-        self, bundle: PredictorBundle, points: _t.Sequence[GridPoint]
-    ) -> dict[GridPoint, dict[str, float]]:
-        """Evaluate ``points`` on ``bundle``, batched with neighbours."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append(
-            _PendingPredict(bundle, tuple(points), future)
-        )
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            loop.call_soon(self._flush)
-        return await asyncio.shield(future)
-
-    def _flush(self) -> None:
-        pending, self._pending = self._pending, []
-        self._flush_scheduled = False
-        if not pending:
-            return
-        self.batches += 1
-        self.requests += len(pending)
-        self.max_batch = max(self.max_batch, len(pending))
-
-        by_bundle: dict[int, list[_PendingPredict]] = {}
-        bundles: dict[int, PredictorBundle] = {}
-        for item in pending:
-            by_bundle.setdefault(id(item.bundle), []).append(item)
-            bundles[id(item.bundle)] = item.bundle
-
-        for bundle_id, items in by_bundle.items():
-            bundle = bundles[bundle_id]
-            union: list[GridPoint] = []
-            seen: set[GridPoint] = set()
-            for item in items:
-                for point in item.points:
-                    if point not in seen:
-                        seen.add(point)
-                        union.append(point)
-            self.batched_points += len(union)
-            try:
-                table = evaluate_points(bundle, union)
-            except Exception:
-                # One bad point poisons the shared pass; fall back to
-                # per-request evaluation so valid requests still serve.
-                for item in items:
-                    try:
-                        result = evaluate_points(bundle, item.points)
-                    except Exception as exc:
-                        if not item.future.done():
-                            item.future.set_exception(exc)
-                    else:
-                        if not item.future.done():
-                            item.future.set_result(result)
-                continue
-            for item in items:
-                if not item.future.done():
-                    item.future.set_result(
-                        {point: table[point] for point in item.points}
-                    )
-
-    def stats(self) -> dict[str, _t.Any]:
-        """JSON-ready counters for the ``/metrics`` endpoint."""
-        return {
-            "batches": self.batches,
-            "requests": self.requests,
-            "batched_points": self.batched_points,
-            "max_batch": self.max_batch,
-            "mean_batch": (
-                self.requests / self.batches if self.batches else 0.0
-            ),
-        }

@@ -4,22 +4,28 @@ One :class:`ReproService` owns everything a long-lived prediction
 process needs:
 
 * a registry of fitted :class:`~repro.service.coalesce.PredictorBundle`
-  models (one per benchmark × problem class), built lazily — the
-  fitting campaign runs on the default executor so the event loop
-  keeps serving — and single-flighted so a thundering herd fits once;
-* a :class:`~repro.service.coalesce.Coalescer` +
-  :class:`~repro.service.coalesce.PredictBatcher` pair for ``/predict``
-  and a bounded :class:`~repro.runtime.memcache.LRUCache` of rendered
-  responses in front of the campaign disk cache;
+  models (one per benchmark × problem class × platform), built lazily —
+  the fitting campaign runs on the default executor so the event loop
+  keeps serving — and single-flighted
+  (:class:`~repro.service.coalesce.Coalescer`) so a thundering herd
+  fits once;
+* ``/predict``: the body becomes a typed
+  :class:`~repro.pipeline.requests.PredictRequest`, answered from a
+  bounded :class:`~repro.runtime.memcache.LRUCache` of rendered
+  responses or by one vectorized pass on the event loop;
 * one job path for ``POST /campaign``, ``/govern``, ``/optimize``
   and ``/experiments/<id>``: the body becomes a typed request
-  (:mod:`repro.pipeline.requests`; a malformed one is a 400), which a
+  (:mod:`repro.pipeline.requests`) or the experiment's declared
+  parameters, which a
   :class:`~repro.service.jobs.JobManager` thread runs, deduplicated
   by job key while active and replayed from the response cache once
   done; the POST answers with the finished job when it finishes
   within :data:`ANSWER_WAIT_S`, else with a ticket to poll
   (``docs/SERVICE.md`` has the contract); ``GET /experiments``
   lists the registry's pipeline specs;
+* one boundary rule for every body: a key the route does not declare,
+  a value of the wrong type or an unknown benchmark, class or platform
+  is a 400 naming the field, before any work starts;
 * platforms: ``GET /platforms`` lists the registered platform specs
   (:mod:`repro.platforms`); ``/predict``, ``/campaign`` and
   ``/govern`` accept a ``platform`` field (unknown names are a 400
@@ -166,9 +172,7 @@ class ReproService:
         #: reads its default platform here, never per request.
         self.settings = settings()
         self.responses = LRUCache(self.config.cache_entries)
-        self.predict_coalescer = coalesce.Coalescer()
         self.fit_coalescer = coalesce.Coalescer()
-        self.batcher = coalesce.PredictBatcher()
         self.jobs = jobs_mod.JobManager(
             max_workers=self.config.job_workers,
             max_queue=self.config.max_queue,
@@ -178,8 +182,14 @@ class ReproService:
             tuple[str, str, str], coalesce.PredictorBundle
         ] = {}
         self.requests_total = 0
-        self.predict_requests = 0
-        self.predict_cache_hits = 0
+        #: ``/predict`` counters: ``requests`` that passed validation,
+        #: each a cache hit, ``coalesced`` (it waited for its model's
+        #: fit and then found its response cached), ``computed`` (one
+        #: vectorized pass, which fails on an unfitted cell) or a fit
+        #: failure.
+        self.predict_counts = dict.fromkeys(
+            ("requests", "cache_hits", "computed", "coalesced"), 0
+        )
         self.by_endpoint: dict[str, int] = {}
         self.by_status: dict[int, int] = {}
         self._server: asyncio.AbstractServer | None = None
@@ -520,9 +530,8 @@ class ReproService:
         )
         from repro.runtime import campaign_metrics, server_process_context
 
-        started = self.predict_coalescer.started
-        joined = self.predict_coalescer.coalesced
-        shared = joined + self.predict_cache_hits
+        predict = self.predict_counts
+        shared = predict["coalesced"] + predict["cache_hits"]
         return 200, {
             "service": {
                 "context": server_process_context(),
@@ -539,18 +548,20 @@ class ReproService:
                     },
                 },
                 "predict": {
-                    "requests": self.predict_requests,
-                    "cache_hits": self.predict_cache_hits,
-                    "computed": started,
-                    "coalesced": joined,
+                    **predict,
                     # Fraction of predict traffic that shared work
-                    # (single-flight join or response-cache hit).
+                    # (coalesced or response-cache hit).
                     "coalesce_ratio": (
-                        shared / self.predict_requests
-                        if self.predict_requests
+                        shared / predict["requests"]
+                        if predict["requests"]
                         else 0.0
                     ),
-                    "batcher": self.batcher.stats(),
+                    # Compatibility fields: each computed predict is
+                    # one vectorized pass, so one batch of one.
+                    "batcher": {
+                        "batches": predict["computed"],
+                        "mean_batch": 1.0 if predict["computed"] else 0.0,
+                    },
                 },
                 "models": {
                     "loaded": sorted(
@@ -575,20 +586,6 @@ class ReproService:
             },
         }
 
-    def _parse_platform(self, body: dict) -> str:
-        """The request's validated platform name (the service's
-        resolved default when absent); unknown names are a 400 naming
-        the valid choices."""
-        from repro.platforms import check_platform
-
-        explicit = body.get("platform")
-        if explicit is None:
-            return self.settings.platform
-        try:
-            return check_platform(str(explicit))
-        except ConfigurationError as exc:
-            raise protocol.ProtocolError(str(exc)) from exc
-
     def _handle_platforms(
         self, _request: protocol.Request
     ) -> tuple[int, _t.Any]:
@@ -602,37 +599,44 @@ class ReproService:
     async def _handle_predict(
         self, request: protocol.Request
     ) -> tuple[int, _t.Any]:
-        body = request.json()
-        name, cls = self._parse_model(body)
-        platform = self._parse_platform(body)
-        points = _parse_points(body)
-        self.predict_requests += 1
-        cache_key = ("predict", name, cls, platform, points)
-        cached = self.responses.get(cache_key)
-        if cached is not None:
-            self.predict_cache_hits += 1
-            return 200, {**cached, "served_from": "cache"}
+        """``POST /predict``: the cached response, else one vectorized
+        pass over the request's points.
 
-        async def compute() -> dict[str, _t.Any]:
-            bundle = await self._bundle(name, cls, platform)
-            wanted = points or tuple(sorted(bundle.campaign.times))
-            table = await self.batcher.evaluate(bundle, wanted)
-            document = {
-                "benchmark": name,
-                "class": cls,
-                "platform": platform,
-                "base_frequency_hz": bundle.campaign.base_frequency_hz,
-                "predictions": table,
-                "model": bundle.sp.inputs_used(),
-            }
-            self.responses.put(cache_key, document)
-            return document
+        A loaded model's path never awaits, so identical requests can
+        only meet while they wait for their model's fit; a waiter reads
+        the response cache again and answers ``coalesced`` on a hit.
+        """
+        from repro.pipeline import PredictRequest
 
-        document, joined = await self.predict_coalescer.run(
-            cache_key, compute
+        query = _from_body(
+            PredictRequest.from_body, request, platform=self.settings.platform
         )
-        source = "coalesced" if joined else "computed"
-        return 200, {**document, "served_from": source}
+        counts = self.predict_counts
+        counts["requests"] += 1
+        key = query.key()
+        cached = self.responses.get(key)
+        if cached is not None:
+            counts["cache_hits"] += 1
+            return 200, {**cached, "served_from": "cache"}
+        bundle = self.bundles.get(query.model)
+        if bundle is None:
+            bundle = await self._bundle(*query.model)
+            cached = self.responses.get(key)
+            if cached is not None:
+                counts["coalesced"] += 1
+                return 200, {**cached, "served_from": "coalesced"}
+        counts["computed"] += 1
+        points = query.points or tuple(sorted(bundle.campaign.times))
+        document = {
+            "benchmark": query.benchmark,
+            "class": query.problem_class.value,
+            "platform": query.platform,
+            "base_frequency_hz": bundle.campaign.base_frequency_hz,
+            "predictions": coalesce.evaluate_points(bundle, points),
+            "model": bundle.sp.inputs_used(),
+        }
+        self.responses.put(key, document)
+        return 200, {**document, "served_from": "computed"}
 
     def _handle_experiments_list(
         self, _request: protocol.Request
@@ -660,13 +664,14 @@ class ReproService:
     ) -> tuple[int, _t.Any]:
         """``POST /campaign|/govern|/optimize``: submit the typed request
         the JSON body names; any invalid field is a 400."""
-        body = request.json()
-        if not isinstance(body, dict):
-            raise protocol.ProtocolError("request body must be a JSON object")
-        try:
-            job = _job_request(request.path, body)
-        except (ReproError, TypeError, ValueError) as exc:
-            raise protocol.ProtocolError(str(exc)) from exc
+        from repro.pipeline import CampaignRequest, GovernRequest, OptimizeRequest
+
+        kind = {
+            "/campaign": CampaignRequest,
+            "/govern": GovernRequest,
+            "/optimize": OptimizeRequest,
+        }[request.path]
+        job = _from_body(kind.from_body, request)
         return await self._answer(
             *self._submit_job(
                 job.job_key(),
@@ -692,13 +697,7 @@ class ReproService:
             return 404, protocol.error_payload(
                 "unknown_experiment", str(exc)
             )
-        body = request.json()
-        if not isinstance(body, dict):
-            raise protocol.ProtocolError(
-                "request body must be a JSON object of experiment "
-                "parameters"
-            )
-        values = {str(key): value for key, value in body.items()}
+        values = _from_body(spec.params_from_body, request)
         params = {"experiment": exp_id, "params": values}
 
         def document() -> dict[str, _t.Any]:
@@ -816,26 +815,6 @@ class ReproService:
 
     # -- model registry -------------------------------------------------------
 
-    def _parse_model(self, body: _t.Any) -> tuple[str, str]:
-        if not isinstance(body, dict):
-            raise protocol.ProtocolError(
-                "request body must be a JSON object"
-            )
-        from repro.npb import BENCHMARKS
-
-        name = str(body.get("benchmark", "")).strip().lower()
-        if not name:
-            raise protocol.ProtocolError(
-                "request needs a 'benchmark' field"
-            )
-        if name not in BENCHMARKS:
-            raise protocol.ProtocolError(
-                f"unknown benchmark {name!r}; "
-                f"available: {sorted(BENCHMARKS)}"
-            )
-        cls = str(body.get("class", "A")).strip().upper() or "A"
-        return name, cls
-
     async def _bundle(
         self, name: str, cls: str, platform: str = "paper"
     ) -> coalesce.PredictorBundle:
@@ -864,9 +843,10 @@ class ReproService:
         from repro.core.energy import EnergyModel
         from repro.core.params_sp import SimplifiedParameterization
         from repro.experiments.platform import PAPER_COUNTS, measure_campaign
+        from repro.npb import BENCHMARKS, ProblemClass
         from repro.platforms import get_platform
 
-        bench = _build_benchmark(name, cls)
+        bench = BENCHMARKS[name](ProblemClass.parse(cls))
         counts = _MODEL_COUNTS.get(name, PAPER_COUNTS)
         spec = get_platform(platform)
         # The paper's common frequencies are PAPER_FREQUENCIES, so its
@@ -898,119 +878,18 @@ def _model_label(key: tuple[str, str, str]) -> str:
     return f"{name}:{cls}@{platform}"
 
 
-def _build_benchmark(name: str, cls: str) -> _t.Any:
-    from repro.npb import BENCHMARKS, ProblemClass
-
+def _from_body(
+    build: _t.Callable[..., _t.Any],
+    request: protocol.Request,
+    **defaults: _t.Any,
+) -> _t.Any:
+    """``build(body, **defaults)`` on the request's JSON body; whatever
+    it rejects is a 400 (``bad_request``) and nothing runs."""
     try:
-        problem_class = ProblemClass.parse(cls)
-    except (ReproError, ValueError, KeyError):
-        raise protocol.ProtocolError(f"unknown problem class {cls!r}")
-    return BENCHMARKS[name](problem_class)
+        return build(request.json(), **defaults)
+    except (ReproError, TypeError, ValueError) as exc:
+        raise protocol.ProtocolError(str(exc)) from exc
 
-
-def _parse_points(body: dict) -> tuple[tuple[int, float], ...]:
-    """Grid points from a predict body: ``cells`` keys and/or a
-    ``counts`` × ``frequencies_mhz`` cross-product; empty means the
-    model's full fitted grid."""
-    from repro.units import mhz
-
-    points: list[tuple[int, float]] = []
-    cells = body.get("cells")
-    if cells is not None:
-        if not isinstance(cells, list):
-            raise protocol.ProtocolError(
-                "'cells' must be a list of 'N@fMHz' keys"
-            )
-        points.extend(
-            protocol.parse_grid_key(str(key)) for key in cells
-        )
-    counts = body.get("counts")
-    frequencies = body.get("frequencies_mhz")
-    if counts is not None or frequencies is not None:
-        if not counts or not frequencies:
-            raise protocol.ProtocolError(
-                "'counts' and 'frequencies_mhz' must be given together "
-                "and non-empty"
-            )
-        try:
-            points.extend(
-                (int(n), mhz(float(m)))
-                for n in counts
-                for m in frequencies
-            )
-        except (TypeError, ValueError) as exc:
-            raise protocol.ProtocolError(f"bad grid values: {exc}")
-    if any(n < 1 for n, _ in points):
-        raise protocol.ProtocolError("processor counts must be >= 1")
-    return tuple(dict.fromkeys(points))
-
-
-
-def _job_request(path: str, body: dict) -> _t.Any:
-    """The typed request (:mod:`repro.pipeline.requests`) a job body names.
-
-    Each route maps its fields beyond ``benchmark`` and ``class`` to a
-    type, or ``[type]`` for a list.  Absent and null fields take the
-    request's defaults; a value of another type is a 400 naming it.
-    """
-    from repro.pipeline import CampaignRequest, GovernRequest, OptimizeRequest
-
-    cap = {"scenario": str, "cluster_cap_w": float, "node_cap_w": float}
-    build, types = {
-        "/campaign": (
-            CampaignRequest.for_job,
-            {
-                "counts": [int],
-                "frequencies_mhz": [float],
-                "backend": str,
-                "platform": str,
-                "fabric": bool,
-                "allow_partial": bool,
-            },
-        ),
-        "/govern": (
-            GovernRequest,
-            {
-                "ranks": int,
-                "policy": str,
-                **cap,
-                "platform": str,
-                "epoch_phases": int,
-                "safety": float,
-                "seed": int,
-            },
-        ),
-        "/optimize": (
-            OptimizeRequest,
-            {
-                "objective": str,
-                "platforms": [str],
-                "counts": [int],
-                **cap,
-                "confirm": bool,
-            },
-        ),
-    }[path]
-    fields: dict[str, _t.Any] = {}
-    for name, kind in {"benchmark": str, "class": str, **types}.items():
-        value = body.get(name)
-        if value is None:
-            continue
-        many = isinstance(kind, list)
-        item = kind[0] if many else kind
-        try:
-            if many and not isinstance(value, list):
-                raise TypeError
-            value = tuple(map(item, value)) if many else item(value)
-        except (TypeError, ValueError):
-            shape = f"a list of {item.__name__}" if many else item.__name__
-            raise protocol.ProtocolError(
-                f"{name!r} must be {shape}, got {body[name]!r}"
-            ) from None
-        fields["problem_class" if name == "class" else name] = value
-    if "benchmark" not in fields:
-        raise protocol.ProtocolError("request needs a 'benchmark' field")
-    return build(**fields)
 
 class ServiceThread:
     """An in-process service on its own thread + event loop.

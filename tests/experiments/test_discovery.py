@@ -1,4 +1,4 @@
-"""Tests for registry auto-discovery and the legacy register adapter."""
+"""Tests for registry auto-discovery and lookup."""
 
 import pytest
 
@@ -45,27 +45,27 @@ class TestDiscovery:
             assert spec.stages[-1].name == "render"
 
 
+    def test_specs_declare_the_params_their_requires_hooks_read(self):
+        class Reads(dict):
+            """A parameter dict that records every name looked up."""
+
+            def __init__(self):
+                super().__init__()
+                self.names = set()
+
+            def get(self, name, default=None):
+                self.names.add(name)
+                return default
+
+        for exp_id, _title, _desc in registry.list_experiments():
+            spec = registry.get_experiment(exp_id)
+            assert "problem_class" in spec.params, exp_id
+            params = Reads()
+            spec.resolve_requests(params)
+            assert params.names <= set(spec.params), exp_id
+
+
 class TestLegacyRegister:
-    def test_register_wraps_function_into_spec(self):
-        from repro.experiments.registry import ExperimentResult
-
-        @registry.register("zz_legacy_probe", "Probe", "a probe")
-        def run(flavor: str = "plain") -> ExperimentResult:
-            return ExperimentResult(
-                "zz_legacy_probe", "Probe", "text", {"flavor": flavor}
-            )
-
-        try:
-            spec = registry.get_experiment("zz_legacy_probe")
-            assert [s.name for s in spec.stages] == ["render"]
-            assert spec.description == "a probe"
-            result = registry.run_experiment(
-                "zz_legacy_probe", flavor="spicy"
-            )
-            assert result.data == {"flavor": "spicy"}
-        finally:
-            registry._REGISTRY.pop("zz_legacy_probe", None)
-
     def test_unknown_experiment_still_raises(self):
         from repro.errors import UnknownExperimentError
 

@@ -1,5 +1,5 @@
-"""Coalescing and micro-batching tests, including the bit-identity of
-vectorized prediction against the scalar model path."""
+"""Single-flight coalescing tests and the bit-identity of vectorized
+prediction against the scalar model path."""
 
 import asyncio
 
@@ -13,7 +13,6 @@ from repro.experiments.platform import measure_campaign
 from repro.npb import EPBenchmark, ProblemClass
 from repro.service.coalesce import (
     Coalescer,
-    PredictBatcher,
     PredictorBundle,
     evaluate_points,
 )
@@ -169,53 +168,3 @@ class TestCoalescer:
         assert first is not second
         assert coalescer.started == 2
 
-
-class TestPredictBatcher:
-    def test_concurrent_requests_share_one_flush(self, bundle):
-        points = sorted(bundle.campaign.times)
-
-        async def go():
-            batcher = PredictBatcher()
-            results = await asyncio.gather(
-                *(
-                    batcher.evaluate(bundle, [point])
-                    for point in points
-                )
-            )
-            return batcher, results
-
-        batcher, results = asyncio.run(go())
-        assert batcher.batches == 1
-        assert batcher.requests == len(points)
-        assert batcher.max_batch == len(points)
-        whole = evaluate_points(bundle, points)
-        for point, result in zip(points, results):
-            assert result == {point: whole[point]}
-
-    def test_overlapping_points_deduplicated(self, bundle):
-        async def go():
-            batcher = PredictBatcher()
-            await asyncio.gather(
-                batcher.evaluate(bundle, [(1, 600e6), (2, 600e6)]),
-                batcher.evaluate(bundle, [(2, 600e6), (4, 600e6)]),
-            )
-            return batcher
-
-        batcher = asyncio.run(go())
-        assert batcher.batches == 1
-        assert batcher.batched_points == 3  # union, not sum
-
-    def test_bad_point_fails_only_its_request(self, bundle):
-        async def go():
-            batcher = PredictBatcher()
-            good, bad = await asyncio.gather(
-                batcher.evaluate(bundle, [(1, 600e6)]),
-                batcher.evaluate(bundle, [(2, 123e6)]),
-                return_exceptions=True,
-            )
-            return good, bad
-
-        good, bad = asyncio.run(go())
-        assert isinstance(bad, MeasurementError)
-        expected = evaluate_points(bundle, [(1, 600e6)])
-        assert good == expected

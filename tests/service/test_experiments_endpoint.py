@@ -58,6 +58,14 @@ class TestRunExperiment:
         assert document["status"] == "done"
         assert document["runtime"] == {"source": "service-cache"}
 
+    def test_unknown_parameter_is_400_and_queues_nothing(self, client):
+        with pytest.raises(ServiceError) as err:
+            client.submit_experiment("table5", {"bogus": 1})
+        assert err.value.status == 400
+        assert "'bogus'" in err.value.message
+        assert "problem_class" in err.value.message
+        assert client.jobs()["stats"]["submitted"] == 0
+
     def test_unknown_experiment_is_404(self, client):
         with pytest.raises(ServiceError) as err:
             client.submit_experiment("zz_nope")
